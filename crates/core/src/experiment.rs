@@ -1,26 +1,15 @@
 //! Experiment specification, deployment, execution, and result
 //! collection — one call reproduces one data point of the paper.
 //!
-//! ## Sharded execution
-//!
-//! The run path is split into four deterministic stages so the same code
-//! serves every shard count:
+//! The run path has four deterministic stages:
 //!
 //! 1. [`layout`] — pure arithmetic on the spec: node counts, workload
 //!    split, time windows.
-//! 2. `build_world` — constructs one *replica* of the whole cluster.
-//!    Under sharding every shard executes the identical build (same
-//!    actor indices, same build-phase connection ids, same RNG streams);
-//!    the kernel's locality filter turns foreign-node actors into ghosts.
-//! 3. run — serial `run_until` for `shards == 1`, conservative LBTS
-//!    lockstep (`simshard::run_sharded`) otherwise, with lookahead equal
-//!    to the fabric's base latency.
-//! 4. `extract_partial` / `merge_results` — every collector leaves its
-//!    shard as a `Send` partial and goes through the *same* merge
-//!    pipeline regardless of shard count (a serial run is merged-of-one),
-//!    so results and artifacts are byte-identical across shard counts by
-//!    construction. `tests/shard_equivalence.rs` enforces this
-//!    differentially.
+//! 2. `build_world` — constructs the whole cluster into one
+//!    [`Simulation`].
+//! 3. run — `Simulation::run_until` the layout's horizon, on one thread.
+//! 4. `finish` — reads every collector from the finished simulation and
+//!    derives the result and its artifacts.
 
 use crate::calibration;
 use jms::AckMode;
@@ -33,11 +22,10 @@ use rgma::{
     ConsumerControl, ConsumerServlet, ProducerControl, ProducerServlet, RegistryActor, RgmaConfig,
     SecondaryProducer,
 };
-use simcore::{ActorId, RemoteEnvelope, SimDuration, SimTime, Simulation};
+use simcore::{ActorId, SimDuration, SimTime, Simulation};
 use simfault::{FaultDriver, FaultInjector, FaultSchedule, FaultStats};
 use simnet::{Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId, VmstatLog, VmstatSampler};
-use simshard::ShardPlan;
 use simslo::{SloCollector, SloReport, SloSpec};
 use simtrace::{TraceCollector, TraceId, TraceSampler, TraceSummary};
 use telemetry::{RttCollector, RttSummary};
@@ -131,13 +119,10 @@ pub struct ExperimentSpec {
     /// ride out-of-band (like the trace id) and cost zero wire bytes,
     /// so enabling it never perturbs timing either.
     pub slo: Option<SloSpec>,
-    /// Conservative-parallel shard count (`simshard`). The cluster's
-    /// nodes partition round-robin into this many shards, each a full
-    /// replica of the world advancing in LBTS lockstep with lookahead
-    /// equal to the fabric base latency. Results and observability
-    /// artifacts are byte-identical across shard counts (a differential
-    /// test suite enforces it); 1 — the default — runs the classic
-    /// serial event loop, through the same merge pipeline.
+    /// Inert: every run is serial, whatever this holds. It remains (with
+    /// [`sharded`](Self::sharded)) only because the wall-time benchmark
+    /// under `perfbench/` still sets it for its `shards2` variant; a
+    /// later benchmark change drops that variant and this field with it.
     pub shards: usize,
 }
 
@@ -197,10 +182,10 @@ impl ExperimentSpec {
         self
     }
 
-    /// Run on `shards` conservative parallel shards (1 = serial). Same
-    /// seed + same spec ⇒ byte-identical results at any shard count.
+    /// Inert: records `shards` in [`shards`](Self::shards) and changes
+    /// nothing else — every run is serial. Kept only for the benchmark's
+    /// `shards2` variant, which a later benchmark change removes.
     pub fn sharded(mut self, shards: usize) -> Self {
-        assert!(shards >= 1, "need at least one shard");
         self.shards = shards;
         self
     }
@@ -238,7 +223,8 @@ pub struct TraceArtifacts {
     /// Per-message PRT/PT/SRT reconstruction.
     pub summary: TraceSummary,
     /// Cross-check failures against the independent `RttCollector`
-    /// instants. Non-empty means one instrumentation path is buggy.
+    /// instants. Always empty in a returned result: `run_experiment`
+    /// panics on any disagreement.
     pub disagreements: Vec<String>,
 }
 
@@ -315,9 +301,7 @@ pub struct ExperimentResult {
     pub broker_forwards: u64,
     /// Virtual time the run covered.
     pub sim_time: SimTime,
-    /// Kernel events processed (cost indicator). Under sharding this is
-    /// the sum over shards — identical to the serial count, since every
-    /// event executes on exactly one shard.
+    /// Kernel events processed (cost indicator).
     pub events: u64,
     /// Trace exports and cross-check (only when `spec.trace` was set).
     pub trace: Option<TraceArtifacts>,
@@ -334,16 +318,15 @@ pub struct ExperimentResult {
     /// perturbs the simulation.
     pub scope: Option<ScopeArtifacts>,
     /// Freshness / deadline-SLO accounting (only when `spec.slo` was
-    /// set). Derived entirely from the merged record set, so it is
-    /// byte-identical across shard counts like every other artifact.
+    /// set). Derived entirely from the collector's record set.
     pub slo: Option<SloArtifacts>,
     /// Host wall-clock seconds this run took (perf-baseline input; the
     /// only non-deterministic field).
     pub wall_secs: f64,
 }
 
-/// Deterministic geometry of one experiment, shared by every shard's
-/// build and by the merge: node counts, workload split, time windows.
+/// Deterministic geometry of one experiment, shared by the build and by
+/// `finish`: node counts, workload split, time windows.
 struct Layout {
     server_count: usize,
     /// Fleet-hosting client nodes (one more client node hosts the
@@ -407,8 +390,8 @@ fn layout(spec: &ExperimentSpec) -> Layout {
     }
 }
 
-/// Thread-local build artifacts the extractor needs: `Rc` stats handles
-/// the world's actors share with the driver. Never crosses threads.
+/// Build artifacts `finish` needs: `Rc` stats handles the world's actors
+/// share with the driver.
 struct WorldHandles {
     fleet_stats: Vec<FleetStatsHandle>,
     #[allow(dead_code)]
@@ -416,21 +399,10 @@ struct WorldHandles {
     broker_stats: Vec<narada::StatsHandle>,
 }
 
-/// Construct one replica of the whole cluster into `sim`.
-///
-/// Runs identically on every shard (and serially): same service set,
-/// same actor order — so actor indices, per-actor RNG streams, and
-/// build-phase connection ids agree across replicas. `sim.on_node`
-/// precedes every placed actor so the kernel's locality filter (if any)
-/// can ghost foreign-node actors; the vmstat sampler, the trace sampler
-/// and the fault driver are *replicated* (run on every shard) instead.
-fn build_world(
-    spec: &ExperimentSpec,
-    lay: &Layout,
-    plan: &ShardPlan,
-    shard_ix: usize,
-    sim: &mut Simulation,
-) -> WorldHandles {
+/// Construct the whole cluster into `sim`. Actor registration order
+/// fixes actor indices, and with them the per-actor RNG streams and
+/// same-instant tie-breaking, so it must not change.
+fn build_world(spec: &ExperimentSpec, lay: &Layout, sim: &mut Simulation) -> WorldHandles {
     // --- Cluster ---------------------------------------------------
     let mut os = OsModel::new();
     let mut server_nodes = Vec::new();
@@ -502,18 +474,9 @@ fn build_world(
         os.enable_wall_metering();
     }
     sim.add_service(os);
-    // The sampler is replicated (one replica per shard), each replica
-    // sampling only the server nodes its shard hosts: a node's CPU/memory
-    // state is maintained by that node's actors, which execute on exactly
-    // one shard. The merge interleaves the per-shard rows by (time, node).
-    let local_server_nodes: Vec<NodeId> = server_nodes
-        .iter()
-        .copied()
-        .filter(|n| plan.shard_of(n.0) == shard_ix)
-        .collect();
-    sim.add_replicated_actor(VmstatSampler::new(
+    sim.add_actor(VmstatSampler::new(
         SimDuration::from_secs(1),
-        local_server_nodes,
+        server_nodes.clone(),
     ));
     // Stop-the-world GC pauses on the middleware JVMs (the latency-tail
     // mechanism; see simos::gc).
@@ -523,7 +486,6 @@ fn build_world(
         simos::GcConfig::narada_broker()
     };
     for (&node, &proc) in server_nodes.iter().zip(&server_procs) {
-        sim.on_node(node.0);
         sim.add_actor(simos::GcPauser::new(gc_cfg.clone(), node, proc));
     }
 
@@ -551,7 +513,6 @@ fn build_world(
             let endpoints: Vec<Endpoint> = if hosts.len() == 1 {
                 let broker = narada::Broker::new(ncfg.clone(), hosts[0].0, hosts[0].1);
                 broker_stats.push(broker.stats_handle());
-                sim.on_node(hosts[0].0 .0);
                 let id = sim.add_actor(broker);
                 vec![Endpoint::new(hosts[0].0, id)]
             } else {
@@ -604,7 +565,6 @@ fn build_world(
                     narada: ncfg.clone(),
                 });
                 fleet_stats.push(fleet.stats_handle());
-                sim.on_node(client_nodes[i].0);
                 sim.add_actor(fleet);
                 first_id += n_gens as u32;
             }
@@ -614,14 +574,12 @@ fn build_world(
             for ep in &sub_eps {
                 let sub = NaradaSubscriber::new(sub_node, *ep, settings, ncfg.clone());
                 sub_stats.push(sub.stats_handle());
-                sim.on_node(sub_node.0);
                 sim.add_actor(sub);
             }
         }
         SystemUnderTest::GridlogSingle => {
             let gcfg = gridlog::GridlogConfig::default();
             let broker = gridlog::LogBroker::new(gcfg.clone(), server_nodes[0], server_procs[0]);
-            sim.on_node(server_nodes[0].0);
             let id = sim.add_actor(broker);
             let broker_ep = Endpoint::new(server_nodes[0], id);
             fault_brokers = vec![id];
@@ -656,7 +614,6 @@ fn build_world(
                     gridlog: gcfg.clone(),
                 });
                 fleet_stats.push(fleet.stats_handle());
-                sim.on_node(client_nodes[i].0);
                 sim.add_actor(fleet);
                 first_id += n_gens as u32;
             }
@@ -665,7 +622,6 @@ fn build_world(
             let sub_node = *client_nodes.last().expect("at least one client node");
             let sub = GridlogSubscriber::new(sub_node, broker_ep, 2, reset, reconnect, gcfg);
             sub_stats.push(sub.stats_handle());
-            sim.on_node(sub_node.0);
             sim.add_actor(sub);
         }
         SystemUnderTest::RgmaSingle
@@ -682,7 +638,6 @@ fn build_world(
                 rcfg.soft_state_refresh = Some(SimDuration::from_secs(10));
             }
             // Registry always on server node 0.
-            sim.on_node(server_nodes[0].0);
             let reg = sim.add_actor(RegistryActor::new(
                 rcfg.clone(),
                 server_nodes[0],
@@ -698,7 +653,6 @@ fn build_world(
             };
             let mut prod_eps = Vec::new();
             for &h in &prod_hosts {
-                sim.on_node(server_nodes[h].0);
                 let p = sim.add_actor(ProducerServlet::new(
                     rcfg.clone(),
                     server_nodes[h],
@@ -716,7 +670,6 @@ fn build_world(
             }
             let mut cons_eps = Vec::new();
             for &h in &cons_hosts {
-                sim.on_node(server_nodes[h].0);
                 let c = sim.add_actor(ConsumerServlet::new(
                     rcfg.clone(),
                     server_nodes[h],
@@ -742,7 +695,6 @@ fn build_world(
                     powergrid::TABLE,
                     "generator_archive",
                 );
-                sim.on_node(server_nodes[1].0);
                 sim.add_actor(sp);
                 "generator_archive"
             } else {
@@ -764,7 +716,6 @@ fn build_world(
                     rgma: rcfg.clone(),
                 });
                 fleet_stats.push(fleet.stats_handle());
-                sim.on_node(client_nodes[i].0);
                 sim.add_actor(fleet);
                 first_id += n_gens as u32;
             }
@@ -778,7 +729,6 @@ fn build_world(
                     rcfg.clone(),
                 );
                 sub_stats.push(sub.stats_handle());
-                sim.on_node(sub_node.0);
                 sim.add_actor(sub);
             }
         }
@@ -788,22 +738,16 @@ fn build_world(
     // production actor: per-actor RNG streams are keyed by actor index, so
     // an actor that only exists in instrumented runs must not shift the
     // indices (and hence the randomness) of the actors common to all runs.
-    // Both are replicated — they run on every shard, observing/driving
-    // their shard's replica of the world.
     if spec.trace {
         // Counters sampled on the same cadence as the vmstat sampler so
         // the unified resource log interleaves 1:1.
-        sim.add_replicated_actor(TraceSampler::new(SimDuration::from_secs(1)));
+        sim.add_actor(TraceSampler::new(SimDuration::from_secs(1)));
     }
     // The driver is added last so its `on_start` timers land after every
     // deployment actor exists; targets that a schedule names but the
     // deployment lacks (e.g. a registry in a Narada run) are ignored.
-    // Replicated: each replica drives its own shard's injector service;
-    // control messages to actors its shard doesn't host are ghost-dropped
-    // (the owning shard's replica delivers them), and the `injected`
-    // count is gated on the accounting primary.
     if !spec.faults.is_empty() {
-        sim.add_replicated_actor(FaultDriver::new(
+        sim.add_actor(FaultDriver::new(
             spec.faults.clone(),
             fault_brokers,
             fault_registry,
@@ -811,8 +755,7 @@ fn build_world(
     }
 
     // Build wiring complete: runtime connection ids switch to
-    // opener-derived packing, which is shard-invariant (build-phase ids
-    // are sequential and rely on the replicated build for parity).
+    // opener-derived packing (see `simnet::ConnId`).
     sim.service_mut::<NetworkFabric>()
         .expect("fabric registered")
         .finish_build();
@@ -824,97 +767,10 @@ fn build_world(
     }
 }
 
-/// Everything one shard contributes to the merged result. `Send`: the
-/// `Rc`-based stats handles are reduced to plain sums before leaving the
-/// shard thread.
-struct ShardPartial {
-    kernel: simcore::KernelStats,
-    hotpath: Option<simcore::KernelHotpath>,
-    rtt: RttCollector,
-    vm: VmstatLog,
-    trace: Option<TraceCollector>,
-    fault: Option<FaultStats>,
-    profiler: Option<simprof::Profiler>,
-    metrics: Option<telemetry::MetricsRegistry>,
-    wallscope: Option<simscope::WallScope>,
-    slo: Option<SloCollector>,
-    os_busy: SimDuration,
-    os_wall: Option<simcore::WallAccum>,
-    now: SimTime,
-    connected: u32,
-    refused: u32,
-    published: u64,
-    broker_forwards: u64,
-}
-
-/// Reduce one finished shard to its `Send` partial: collectors move out
-/// of the service map, `Rc` handles collapse to sums. Ghost fleets never
-/// execute, so their handles stay zero and the cross-shard sums equal
-/// the serial values.
-fn extract_partial(sim: &mut Simulation, world: &WorldHandles) -> ShardPartial {
-    ShardPartial {
-        kernel: sim.stats(),
-        hotpath: sim.hotpath(),
-        rtt: std::mem::replace(
-            sim.service_mut::<RttCollector>()
-                .expect("collector registered"),
-            RttCollector::new(),
-        ),
-        vm: std::mem::replace(
-            sim.service_mut::<VmstatLog>().expect("vmstat registered"),
-            VmstatLog::new(),
-        ),
-        trace: sim
-            .service_mut::<TraceCollector>()
-            .map(|t| std::mem::replace(t, TraceCollector::new())),
-        fault: sim.service::<FaultInjector>().map(|inj| inj.stats),
-        profiler: sim
-            .service_mut::<simprof::Profiler>()
-            .map(|p| std::mem::replace(p, simprof::Profiler::new())),
-        metrics: sim
-            .service_mut::<telemetry::MetricsRegistry>()
-            .map(std::mem::take),
-        wallscope: sim
-            .service_mut::<simscope::WallScope>()
-            .map(|w| std::mem::replace(w, simscope::WallScope::new())),
-        slo: sim.service_mut::<SloCollector>().map(std::mem::take),
-        os_busy: sim
-            .service::<OsModel>()
-            .expect("os registered")
-            .total_submitted_work(),
-        os_wall: sim.service::<OsModel>().and_then(|os| os.wall_metering()),
-        now: sim.now(),
-        connected: world.fleet_stats.iter().map(|s| s.borrow().connected).sum(),
-        refused: world.fleet_stats.iter().map(|s| s.borrow().refused).sum(),
-        published: world.fleet_stats.iter().map(|s| s.borrow().published).sum(),
-        broker_forwards: world
-            .broker_stats
-            .iter()
-            .map(|s| s.borrow().forwarded)
-            .sum(),
-    }
-}
-
-/// The shard executor's injection hook: materialize the connection a
-/// cross-shard network frame rides on (the receiving shard may never
-/// have seen it — the opener lives elsewhere), then hand the envelope to
-/// the kernel. Non-network payloads inject as-is.
-fn inject_delivery(sim: &mut Simulation, env: RemoteEnvelope) {
-    if let Some(d) = env.payload.downcast_ref::<simnet::Delivery>() {
-        let (conn, meta) = (d.conn, d.meta);
-        sim.service_mut::<NetworkFabric>()
-            .expect("fabric registered")
-            .ensure_conn(conn, meta);
-    }
-    sim.inject_remote(env);
-}
-
 /// The whole-run `probes_in_flight` gauge series: +1 at each publish
-/// instant, −1 at each delivery instant, cumulative. No single shard can
-/// compute it (publisher and subscriber may live on different shards),
-/// so it is derived from the *merged* RTT collector and spliced into the
-/// merged metrics registry at the sample instants — exactly where the
-/// old serial sampler used to refresh it.
+/// instant, −1 at each delivery instant, cumulative. Derived from the
+/// finished RTT collector and spliced into the replayed metrics registry
+/// at the sample instants.
 fn probes_in_flight_series(rtt: &RttCollector) -> Vec<(SimTime, f64)> {
     let mut deltas: Vec<(SimTime, i64)> = Vec::new();
     for id in rtt.probe_ids() {
@@ -937,60 +793,29 @@ fn probes_in_flight_series(rtt: &RttCollector) -> Vec<(SimTime, f64)> {
     series
 }
 
-/// Fuse the per-shard partials into the final result. Every collector
-/// goes through its canonical merge — the same code for one partial
-/// (serial) as for many — so all derived artifacts are a function of the
-/// merged state only, never of the shard layout.
-fn merge_results(
+/// Read every collector from the finished simulation and derive the
+/// result. The post-run cross-checks (trace vs. RTT instants, carried
+/// vs. recorded SLO publish stamps) are hard assertions: each compares
+/// two independent instrumentation paths, so a disagreement is a bug.
+fn finish(
     spec: &ExperimentSpec,
     lay: &Layout,
-    partials: Vec<ShardPartial>,
+    mut sim: Simulation,
+    world: &WorldHandles,
     wall_secs: f64,
 ) -> ExperimentResult {
-    let server_nodes: Vec<NodeId> = (0..lay.server_count).map(|i| NodeId(i as u16)).collect();
-    let now = partials[0].now;
-    debug_assert!(
-        partials.iter().all(|p| p.now == now),
-        "shard clocks disagree at end of run"
-    );
-
-    let mut kernels = Vec::new();
-    let mut hotpaths = Vec::new();
-    let mut rtts = Vec::new();
-    let mut vms = Vec::new();
-    let mut traces = Vec::new();
-    let mut faults = Vec::new();
-    let mut profilers = Vec::new();
-    let mut metrics_parts = Vec::new();
-    let mut wallscopes = Vec::new();
-    let mut slo_parts = Vec::new();
-    let mut os_walls = Vec::new();
-    let mut kernel_busy = SimDuration::ZERO;
-    let (mut connected, mut refused) = (0u32, 0u32);
-    let (mut published, mut broker_forwards) = (0u64, 0u64);
-    for p in partials {
-        kernels.push(p.kernel);
-        hotpaths.push(p.hotpath);
-        rtts.push(p.rtt);
-        vms.push(p.vm);
-        traces.push(p.trace);
-        faults.push(p.fault);
-        profilers.push(p.profiler);
-        metrics_parts.push(p.metrics);
-        wallscopes.push(p.wallscope);
-        slo_parts.push(p.slo);
-        os_walls.push(p.os_wall);
-        kernel_busy += p.os_busy;
-        connected += p.connected;
-        refused += p.refused;
-        published += p.published;
-        broker_forwards += p.broker_forwards;
-    }
-
-    let kernel = simcore::KernelStats::merged(&kernels);
-    let rtt = RttCollector::merged(rtts);
+    let now = sim.now();
+    let kernel = sim.stats();
+    let mut trace_collector = sim.service_mut::<TraceCollector>().map(std::mem::take);
+    let metrics = sim
+        .service_mut::<telemetry::MetricsRegistry>()
+        .map(std::mem::take);
+    let rtt = sim.service::<RttCollector>().expect("collector registered");
+    let vm = sim.service::<VmstatLog>().expect("vmstat registered");
+    let os = sim.service::<OsModel>().expect("os registered");
     let summary = rtt.summary();
-    let vm = VmstatLog::merged(vms);
+
+    let server_nodes: Vec<NodeId> = (0..lay.server_count).map(|i| NodeId(i as u16)).collect();
     // CPU idle over the steady publishing window (excludes the ramp).
     let idles: Vec<f64> = server_nodes
         .iter()
@@ -1012,12 +837,11 @@ fn merge_results(
         .map(|&m| m as f64 / (1024.0 * 1024.0))
         .fold(0.0f64, f64::max);
 
-    let trace = if spec.trace {
-        let tr = TraceCollector::merged(traces.into_iter().flatten());
-        let trace_summary = TraceSummary::from_collector(&tr);
+    let trace = trace_collector.as_mut().map(|tr| {
+        tr.finish();
+        let trace_summary = TraceSummary::from_collector(tr);
         // Cross-check: every probe the RttCollector saw must decompose to
-        // the exact same four instants in the trace. Any disagreement is
-        // an instrumentation bug in one of the two independent paths.
+        // the exact same four instants in the trace.
         let mut disagreements = Vec::new();
         for id in rtt.probe_ids() {
             let Some(i) = rtt.instants(id) else { continue };
@@ -1031,11 +855,7 @@ fn merge_results(
                 disagreements.push(err);
             }
         }
-        // Hard assertion in test/debug builds: the two instrumentation
-        // paths share nothing but the message, so any disagreement is a
-        // bug, not a tolerable measurement artifact. Release harness
-        // runs still surface the list via `TraceArtifacts` + a warning.
-        debug_assert!(
+        assert!(
             disagreements.is_empty(),
             "trace/RttCollector cross-check failed: {disagreements:?}"
         );
@@ -1051,21 +871,18 @@ fn merge_results(
                 mem_bytes: s.mem_bytes,
             })
             .collect();
-        Some(TraceArtifacts {
-            jsonl: simtrace::export::jsonl(&tr, &resources),
-            chrome: simtrace::export::chrome_trace(&tr),
+        TraceArtifacts {
+            jsonl: simtrace::export::jsonl(tr, &resources),
+            chrome: simtrace::export::chrome_trace(tr),
             summary: trace_summary,
             disagreements,
-        })
-    } else {
-        None
-    };
+        }
+    });
 
-    // Freshness plane: keyed union of the per-shard collectors (the
-    // publisher and the subscriber of one reading may live on different
-    // shards), then every statistic derives from the merged record set.
     let slo_state = spec.slo.as_ref().map(|slo_spec| {
-        let col = SloCollector::merged(slo_parts.into_iter().flatten());
+        let col = sim
+            .service::<SloCollector>()
+            .expect("slo collector registered");
         let report = col.report(
             slo_spec,
             now,
@@ -1073,28 +890,25 @@ fn merge_results(
             simslo::DEFAULT_WINDOW,
         );
         // The carried stamp and the collector's own publish record are
-        // independent paths to the same instant; a disagreement is an
-        // instrumentation bug, exactly like the trace cross-check above.
-        debug_assert_eq!(
+        // independent paths to the same instant.
+        assert_eq!(
             report.stamp_disagreements, 0,
             "carried publish stamps disagree with recorded publish instants"
         );
         (col, report)
     });
 
-    let profile = if spec.profile {
-        let p = simprof::Profiler::merged(profilers.into_iter().flatten());
-        let report = p.report(kernel_busy);
-        let mut derived: Vec<(String, Vec<(SimTime, f64)>)> = vec![(
-            "probes_in_flight".to_string(),
-            probes_in_flight_series(&rtt),
-        )];
+    let profile = sim.service::<simprof::Profiler>().map(|p| {
+        let report = p.report(os.total_submitted_work());
+        let mut derived: Vec<(String, Vec<(SimTime, f64)>)> =
+            vec![("probes_in_flight".to_string(), probes_in_flight_series(rtt))];
         if let (Some((col, _)), Some(slo_spec)) = (&slo_state, &spec.slo) {
             derived.extend(col.metric_series(slo_spec.deadline, now, simslo::SAMPLE_CADENCE));
         }
-        let metrics =
-            telemetry::MetricsRegistry::merged(metrics_parts.into_iter().flatten(), &derived);
-        Some(ProfileArtifacts {
+        let metrics = metrics
+            .expect("metrics registered with the profiler")
+            .replayed(&derived);
+        ProfileArtifacts {
             table: report
                 .table(format!("{} — self time by component", spec.name))
                 .render(),
@@ -1104,50 +918,36 @@ fn merge_results(
             attributed: report.attributed,
             kernel_busy: report.kernel_busy,
             unattributed: report.unattributed,
-        })
-    } else {
-        None
-    };
+        }
+    });
 
-    let scope = {
-        let hotpath = hotpaths.into_iter().flatten().reduce(|mut a, b| {
-            a.merge(&b);
-            a
-        });
-        let ws = simscope::WallScope::merged(wallscopes.into_iter().flatten());
-        let os_wall = os_walls.into_iter().flatten().reduce(|mut a, b| {
-            a.merge(b);
-            a
-        });
-        hotpath.map(|hp| {
-            let mut report = simscope::HotpathReport::new(&spec.name, wall_secs);
-            report.push(simscope::Site::KernelDispatch.name(), hp.dispatch);
-            report.push(simscope::Site::KernelQueuePush.name(), hp.queue_push);
-            report.push(simscope::Site::KernelQueuePop.name(), hp.queue_pop);
-            report.push(
-                simscope::Site::NetFabricSend.name(),
-                ws.get(simscope::Site::NetFabricSend),
-            );
-            report.push(
-                simscope::Site::JmsMatch.name(),
-                ws.get(simscope::Site::JmsMatch),
-            );
-            if let Some(w) = os_wall {
-                report.push(simscope::Site::OsExecute.name(), w);
-            }
-            ScopeArtifacts {
-                json: report.to_json(),
-                collapsed: report.collapsed(),
-                report,
-            }
-        })
-    };
+    let scope = sim.hotpath().map(|hp| {
+        let ws = sim
+            .service::<simscope::WallScope>()
+            .expect("scope registered");
+        let mut report = simscope::HotpathReport::new(&spec.name, wall_secs);
+        report.push(simscope::Site::KernelDispatch.name(), hp.dispatch);
+        report.push(simscope::Site::KernelQueuePush.name(), hp.queue_push);
+        report.push(simscope::Site::KernelQueuePop.name(), hp.queue_pop);
+        report.push(
+            simscope::Site::NetFabricSend.name(),
+            ws.get(simscope::Site::NetFabricSend),
+        );
+        report.push(
+            simscope::Site::JmsMatch.name(),
+            ws.get(simscope::Site::JmsMatch),
+        );
+        if let Some(w) = os.wall_metering() {
+            report.push(simscope::Site::OsExecute.name(), w);
+        }
+        ScopeArtifacts {
+            json: report.to_json(),
+            collapsed: report.collapsed(),
+            report,
+        }
+    });
 
-    let fault_stats = if spec.faults.is_empty() {
-        None
-    } else {
-        Some(FaultStats::merged(faults.into_iter().flatten()))
-    };
+    let fault_stats = sim.service::<FaultInjector>().map(|inj| inj.stats);
 
     let slo = slo_state.map(|(_, report)| SloArtifacts {
         csv: report.csv(),
@@ -1160,10 +960,14 @@ fn merge_results(
         summary,
         server_idle,
         server_mem_mb,
-        connected,
-        refused,
-        published,
-        broker_forwards,
+        connected: world.fleet_stats.iter().map(|s| s.borrow().connected).sum(),
+        refused: world.fleet_stats.iter().map(|s| s.borrow().refused).sum(),
+        published: world.fleet_stats.iter().map(|s| s.borrow().published).sum(),
+        broker_forwards: world
+            .broker_stats
+            .iter()
+            .map(|s| s.borrow().forwarded)
+            .sum(),
         sim_time: now,
         events: kernel.events_processed,
         trace,
@@ -1176,47 +980,16 @@ fn merge_results(
     }
 }
 
-/// Deploy and run one experiment to completion — serially for
-/// `spec.shards == 1`, in conservative parallel lockstep otherwise.
-/// Same seed + same spec ⇒ byte-identical results at any shard count.
+/// Deploy and run one experiment to completion on one thread. Same seed +
+/// same spec ⇒ byte-identical results.
 pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentResult {
     let wall_start = std::time::Instant::now();
     let lay = layout(spec);
-    // `GRIDMON_SHARDS` lets CI re-run the entire suite under the
-    // parallel kernel without editing every spec: it only raises an
-    // unsharded spec (shards == 1), never overrides an explicit choice,
-    // and — because sharded runs are byte-identical — every assertion
-    // downstream must still hold.
-    let env_shards = std::env::var("GRIDMON_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n >= 1);
-    let shards = match env_shards {
-        Some(n) if spec.shards <= 1 => n,
-        _ => spec.shards.max(1),
-    };
-    let plan = ShardPlan::new(simnet::partition_nodes(lay.total_nodes, shards), shards);
-    let partials: Vec<ShardPartial> = if shards == 1 {
-        // Serial fast path: no locality filter, no lockstep rounds — but
-        // the identical build and the identical merge pipeline
-        // (merged-of-one), so artifacts match sharded runs byte for byte.
-        let mut sim = Simulation::new(spec.seed);
-        let world = build_world(spec, &lay, &plan, 0, &mut sim);
-        sim.run_until(lay.horizon);
-        vec![extract_partial(&mut sim, &world)]
-    } else {
-        let lookahead = calibration::hydra_fabric().base_latency;
-        simshard::run_sharded(
-            &plan,
-            spec.seed,
-            lay.horizon,
-            lookahead,
-            |ix, sim| build_world(spec, &lay, &plan, ix, sim),
-            inject_delivery,
-            |_, mut sim, world| extract_partial(&mut sim, &world),
-        )
-    };
-    merge_results(spec, &lay, partials, wall_start.elapsed().as_secs_f64())
+    let mut sim = Simulation::new(spec.seed);
+    let world = build_world(spec, &lay, &mut sim);
+    sim.run_until(lay.horizon);
+    let wall_secs = wall_start.elapsed().as_secs_f64();
+    finish(spec, &lay, sim, &world, wall_secs)
 }
 
 /// Split `total` into `parts` nearly equal chunks.
@@ -1245,8 +1018,6 @@ mod tests {
         assert_eq!(spec.total_messages(), 8000);
         assert!(!spec.system.is_rgma());
         assert!(SystemUnderTest::RgmaSingle.is_rgma());
-        assert_eq!(spec.shards, 1);
-        assert_eq!(spec.clone().sharded(4).shards, 4);
     }
 
     #[test]
@@ -1350,35 +1121,5 @@ mod tests {
         assert_eq!(a.summary.rtt_mean_ms, b.summary.rtt_mean_ms);
         assert_eq!(a.events, b.events);
         assert_eq!(a.kernel.determinism_digest(), b.kernel.determinism_digest());
-    }
-
-    #[test]
-    fn sharded_slo_report_matches_serial() {
-        let spec = ExperimentSpec::paper_default("slo/shard", SystemUnderTest::NaradaSingle, 8)
-            .scaled(3)
-            .with_slo(SloSpec::grid_default());
-        let serial = run_experiment(&spec);
-        let sharded = run_experiment(&spec.clone().sharded(2));
-        let (a, b) = (serial.slo.unwrap(), sharded.slo.unwrap());
-        assert_eq!(a.report, b.report);
-        assert_eq!(a.csv, b.csv);
-    }
-
-    #[test]
-    fn sharded_narada_matches_serial() {
-        let spec = ExperimentSpec::paper_default("shard/narada", SystemUnderTest::NaradaSingle, 8)
-            .scaled(3);
-        let serial = run_experiment(&spec);
-        let sharded = run_experiment(&spec.clone().sharded(2));
-        assert_eq!(serial.summary.rtt_mean_ms, sharded.summary.rtt_mean_ms);
-        assert_eq!(serial.summary.sent, sharded.summary.sent);
-        assert_eq!(serial.summary.received, sharded.summary.received);
-        assert_eq!(
-            serial.kernel.determinism_digest(),
-            sharded.kernel.determinism_digest()
-        );
-        assert_eq!(serial.sim_time, sharded.sim_time);
-        assert_eq!(serial.connected, sharded.connected);
-        assert_eq!(serial.published, sharded.published);
     }
 }

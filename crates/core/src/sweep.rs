@@ -56,23 +56,19 @@ mod tests {
     use crate::experiment::SystemUnderTest;
     use proptest::prelude::*;
 
-    /// A small random spec: any contender, a random fleet size, seed,
-    /// and shard count — the whole space `run_all` must be order- and
+    /// A small random spec: any contender, a random fleet size and seed
+    /// — the whole space `run_all` must be order- and
     /// thread-count-invariant over.
     fn arb_spec() -> impl Strategy<Value = ExperimentSpec> {
-        (0..3usize, 2..8usize, any::<u64>(), 1..4usize).prop_map(|(sys, gens, seed, shards)| {
+        (0..3usize, 2..8usize, any::<u64>()).prop_map(|(sys, gens, seed)| {
             let system = [
                 SystemUnderTest::NaradaSingle,
                 SystemUnderTest::GridlogSingle,
                 SystemUnderTest::RgmaSingle,
             ][sys];
-            let mut spec = ExperimentSpec::paper_default(
-                format!("sweep/{sys}/{gens}/{seed:x}/{shards}"),
-                system,
-                gens,
-            )
-            .scaled(2)
-            .sharded(shards);
+            let mut spec =
+                ExperimentSpec::paper_default(format!("sweep/{sys}/{gens}/{seed:x}"), system, gens)
+                    .scaled(2);
             spec.seed = seed;
             spec
         })
@@ -80,9 +76,8 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
-        /// The sweep is a pure function of the spec list: worker count,
-        /// scheduling order, and per-spec shard count must never leak
-        /// into the results.
+        /// The sweep is a pure function of the spec list: worker count
+        /// and scheduling order must never leak into the results.
         #[test]
         fn parallel_matches_sequential(
             specs in proptest::collection::vec(arb_spec(), 1..4),

@@ -153,12 +153,6 @@ pub struct BenchReport {
     pub scale: u32,
     /// Worker threads used.
     pub threads: usize,
-    /// Conservative-parallel shards per experiment (`--shards`; 1 = the
-    /// serial event loop; files written before the field existed parse
-    /// as 1). Results are byte-identical across shard counts, so the
-    /// gate's workload-drift checks stay comparable across shard
-    /// settings — only the wall-time split changes.
-    pub shards: usize,
     /// Rows, in suite order.
     pub experiments: Vec<BenchRow>,
     /// End-to-end wall seconds for the whole suite, including harness
@@ -180,7 +174,6 @@ impl BenchReport {
         results: &[ExperimentResult],
         scale: u32,
         threads: usize,
-        shards: usize,
         total_wall_secs: f64,
     ) -> Self {
         let experiments = results
@@ -239,7 +232,6 @@ impl BenchReport {
             schema: SCHEMA.to_owned(),
             scale,
             threads,
-            shards: shards.max(1),
             experiments,
             total_wall_secs,
         }
@@ -254,11 +246,6 @@ impl BenchReport {
         let _ = writeln!(out, "  \"schema\": \"{}\",", self.schema);
         let _ = writeln!(out, "  \"scale\": {},", self.scale);
         let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        // Written only for sharded runs, so every pre-shards report (and
-        // fixture) stays byte-identical under a parse→emit round trip.
-        if self.shards > 1 {
-            let _ = writeln!(out, "  \"shards\": {},", self.shards);
-        }
         let _ = writeln!(out, "  \"experiments\": [");
         for (i, e) in self.experiments.iter().enumerate() {
             let _ = writeln!(out, "    {{");
@@ -371,7 +358,6 @@ impl BenchReport {
         let mut schema = String::new();
         let mut scale = 0u32;
         let mut threads = 0usize;
-        let mut shards = 1usize;
         let mut total_wall_secs = 0.0;
         let mut experiments: Vec<BenchRow> = Vec::new();
         for line in text.lines() {
@@ -402,7 +388,6 @@ impl BenchReport {
                 "schema" => schema = unquote(value),
                 "scale" => scale = num(value)? as u32,
                 "threads" => threads = num(value)? as usize,
-                "shards" => shards = (num(value)? as usize).max(1),
                 "total_wall_secs" => total_wall_secs = num(value)?,
                 "name" => experiments.push(BenchRow {
                     name: unquote(value),
@@ -497,7 +482,6 @@ impl BenchReport {
             schema,
             scale,
             threads,
-            shards,
             experiments,
             total_wall_secs,
         })
@@ -696,7 +680,6 @@ mod tests {
             schema: SCHEMA.into(),
             scale: 20,
             threads: 2,
-            shards: 1,
             experiments: walls
                 .iter()
                 .enumerate()
@@ -714,23 +697,6 @@ mod tests {
         // And re-serialization is byte-identical (the "modulo wall-time
         // lines" guarantee reduces to full identity when wall matches).
         assert_eq!(parsed.to_json(), r.to_json());
-    }
-
-    #[test]
-    fn shard_count_roundtrips_and_stays_gate_comparable() {
-        let mut r = report(&[1.5]);
-        r.shards = 4;
-        let parsed = BenchReport::parse(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
-        assert_eq!(parsed.to_json(), r.to_json());
-        // shards=1 reports omit the line entirely (pre-shards layout).
-        let serial = report(&[1.5]);
-        assert!(!serial.to_json().contains("\"shards\""));
-        assert_eq!(BenchReport::parse(&serial.to_json()).unwrap().shards, 1);
-        // The gate compares a sharded candidate against a serial
-        // baseline: sharding never shifts the deterministic workload
-        // counters, so only wall time may differ.
-        assert!(gate(&serial, &r, DEFAULT_TOLERANCE).is_ok());
     }
 
     #[test]

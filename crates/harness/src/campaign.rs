@@ -7,7 +7,6 @@ use std::collections::HashMap;
 /// share runs (fig 3 / fig 4; figs 6–9) pay for them once.
 pub struct Campaign {
     threads: usize,
-    shards: usize,
     trace: bool,
     profile: bool,
     scope: bool,
@@ -23,7 +22,6 @@ impl Campaign {
     pub fn new(threads: usize) -> Self {
         Campaign {
             threads,
-            shards: 1,
             trace: false,
             profile: false,
             scope: false,
@@ -64,14 +62,6 @@ impl Campaign {
         self.slo = spec;
     }
 
-    /// Run every spec on `shards` conservative parallel shards
-    /// (`--shards N`; 1 = the serial event loop). Results are
-    /// byte-identical across shard counts, so this only changes how the
-    /// wall clock is spent.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = shards.max(1);
-    }
-
     /// Ensure every spec has been run; returns results in spec order.
     pub fn ensure(&mut self, specs: &[ExperimentSpec]) -> Vec<ExperimentResult> {
         let missing: Vec<ExperimentSpec> = specs
@@ -82,7 +72,6 @@ impl Campaign {
                 s.trace |= self.trace;
                 s.profile |= self.profile;
                 s.scope |= self.scope;
-                s.shards = s.shards.max(self.shards);
                 if s.faults.is_empty() {
                     s.faults = self.faults.clone();
                 }

@@ -442,7 +442,6 @@ mod tests {
             schema: SCHEMA.into(),
             scale: 20,
             threads: 2,
-            shards: 1,
             experiments: rows,
             total_wall_secs: total,
         }

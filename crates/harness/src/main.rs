@@ -1,7 +1,7 @@
 //! `repro` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--scale=N] [--threads=N] [--shards=N] [--out=DIR | --no-csv]
+//! repro [--scale=N] [--threads=N] [--out=DIR | --no-csv]
 //!       [--trace[=DIR]] [--faults=SCENARIO] [--profile[=DIR]]
 //!       [--scope[=DIR]] [--slo[=DIR]] [--bench-json=FILE] <artifact>...
 //!
@@ -20,11 +20,6 @@
 //! --scale N        messages per generator (default 180 = the paper's
 //!                  30 min)
 //! --threads N      worker threads (default: all cores)
-//! --shards N       run every experiment on N conservative parallel
-//!                  shards (simshard LBTS lockstep; default 1 = the
-//!                  serial event loop). Results and artifacts are
-//!                  byte-identical at any shard count — this only
-//!                  trades threads-across-runs for threads-within-runs
 //! --out DIR        also write CSV files under DIR (default: results/)
 //! --no-csv         do not write CSV files
 //! --trace[=DIR]    record per-message lifecycle traces for every run
@@ -71,13 +66,12 @@
 use harness::{artifacts, Campaign};
 use std::io::Write;
 
-const VALID_OPTIONS: &str = "--scale --threads --shards --out --no-csv --trace[=DIR] \
+const VALID_OPTIONS: &str = "--scale --threads --out --no-csv --trace[=DIR] \
      --faults --profile[=DIR] --scope[=DIR] --slo[=DIR] --bench-json --list-scenarios --help";
 
 struct Options {
     scale: u32,
     threads: usize,
-    shards: usize,
     out: Option<std::path::PathBuf>,
     trace: Option<std::path::PathBuf>,
     profile: Option<std::path::PathBuf>,
@@ -143,7 +137,6 @@ fn take_value(
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut scale = 180u32;
     let mut threads = 0usize;
-    let mut shards = 1usize;
     let mut out = Some(std::path::PathBuf::from("results"));
     let mut trace = None;
     let mut profile = None;
@@ -172,14 +165,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
                 threads = take_value("--threads", inline.as_deref(), &mut args)?
                     .parse()
                     .map_err(|e| format!("bad --threads: {e}"))?;
-            }
-            "--shards" => {
-                shards = take_value("--shards", inline.as_deref(), &mut args)?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if shards == 0 {
-                    return Err("bad --shards: need at least 1".into());
-                }
             }
             "--out" => {
                 out = Some(std::path::PathBuf::from(take_value(
@@ -248,7 +233,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Options, String> {
     Ok(Options {
         scale,
         threads,
-        shards,
         out,
         trace,
         profile,
@@ -451,7 +435,7 @@ fn main() {
     if opts.artifacts.iter().any(|a| a == "help") {
         eprintln!(
             "repro — regenerate the IPPS 2007 pub/sub study artifacts\n\n\
-             usage: repro [--scale=N] [--threads=N] [--shards=N] \
+             usage: repro [--scale=N] [--threads=N] \
              [--out=DIR | --no-csv] [--trace[=DIR]] [--faults=SCENARIO] \
              [--profile[=DIR]] [--scope[=DIR]] [--slo[=DIR]] \
              [--bench-json=FILE] [--list-scenarios] <artifact>...\n\n\
@@ -486,7 +470,6 @@ fn main() {
     }
 
     let mut campaign = Campaign::new(opts.threads);
-    campaign.set_shards(opts.shards);
     campaign.set_trace(opts.trace.is_some());
     campaign.set_profile(opts.profile.is_some() || opts.bench_json.is_some());
     campaign.set_scope(opts.scope.is_some());
@@ -608,7 +591,6 @@ fn main() {
             &results,
             scale,
             opts.threads,
-            opts.shards,
             timer.total_secs(),
         );
         match std::fs::write(path, report.to_json()) {

@@ -38,7 +38,6 @@ impl BrokerNetwork {
         for &(node, proc) in hosts {
             let b = Broker::new(cfg.clone(), node, proc);
             stats.push(b.stats_handle());
-            sim.on_node(node.0);
             let id = sim.add_actor(b);
             brokers.push(id);
             endpoints.push(Endpoint::new(node, id));
@@ -64,7 +63,6 @@ impl BrokerNetwork {
         }
         // The BDN assigns peers after the assignment delay. It lives on
         // the first broker host (the paper's unit controller machine).
-        sim.on_node(hosts[0].0 .0);
         let bdn = sim.add_actor(BrokerDiscoveryNode {
             brokers: endpoints.clone(),
         });

@@ -6,9 +6,7 @@
 //! a lane, and the key `(at, lane, lane_seq)` orders ties first by lane,
 //! then FIFO within the lane. The key is a pure function of *who* scheduled
 //! the event and *how many* events that lane had scheduled before — never of
-//! the global interleaving — so a simulation partitioned across shards
-//! produces byte-identical event orderings to a serial run (see
-//! `crates/simshard`). Within one lane the order is still FIFO, which keeps
+//! the global interleaving. Within one lane the order is FIFO, which keeps
 //! single-source schedules (and the classic external-schedule tests) stable.
 //!
 //! The queue also keeps always-on, allocation-free accounting: per-payload-
@@ -22,13 +20,11 @@ use crate::actor::ActorId;
 use crate::time::SimTime;
 use std::any::{Any, TypeId};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::time::Instant;
 
 /// Opaque payload delivered to an actor. Actors downcast to their own
-/// message enum. `Send` so cross-shard deliveries can travel through the
-/// shard mailboxes.
+/// message enum.
 pub type Payload = Box<dyn Any + Send>;
 
 /// Lane used by events scheduled from outside any actor (build-time
@@ -41,7 +37,7 @@ pub struct ScheduledEvent {
     pub at: SimTime,
     /// Scheduling lane: the index of the actor that scheduled this event,
     /// or [`EXTERNAL_LANE`] for build-time schedules. Breaks same-instant
-    /// ties deterministically and shard-invariantly.
+    /// ties deterministically.
     pub lane: u32,
     /// FIFO sequence within the lane.
     pub lane_seq: u64,
@@ -122,13 +118,6 @@ impl WallAccum {
         self.nanos += nanos;
         self.count += 1;
     }
-
-    /// Fold another accumulator into this one (shard merge).
-    #[inline]
-    pub fn merge(&mut self, other: WallAccum) {
-        self.nanos += other.nanos;
-        self.count += other.count;
-    }
 }
 
 #[derive(Default)]
@@ -191,9 +180,16 @@ impl EventQueue {
         timer: bool,
     ) {
         let type_ix = self.intern_type(payload.as_ref().type_id(), name);
-        self.count_scheduled(type_ix, timer);
+        self.scheduled_total += 1;
+        let acct = &mut self.types[type_ix as usize];
+        acct.scheduled += 1;
+        if timer {
+            acct.timers += 1;
+            self.timer_scheduled += 1;
+        }
         let lane_seq = self.next_lane_seq(lane);
-        self.push_keyed(ScheduledEvent {
+        let t0 = self.wall.as_ref().map(|_| Instant::now());
+        self.heap.push(ScheduledEvent {
             at,
             lane,
             lane_seq,
@@ -201,13 +197,19 @@ impl EventQueue {
             payload,
             type_ix,
         });
+        if self.heap.len() > self.peak_depth {
+            self.peak_depth = self.heap.len();
+        }
+        if let (Some(t0), Some(w)) = (t0, self.wall.as_mut()) {
+            w.push.add(t0.elapsed().as_nanos() as u64);
+        }
     }
 
     /// Draw the next FIFO sequence number for `lane`, advancing the lane
     /// counter. Lanes are created on first use. Counters advance even for
-    /// events that are ultimately dropped or routed to another shard — the
-    /// key stream of a lane must not depend on where its targets live.
-    pub fn next_lane_seq(&mut self, lane: u32) -> u64 {
+    /// events that are ultimately dropped, so the key stream of a lane
+    /// depends only on what the lane scheduled.
+    fn next_lane_seq(&mut self, lane: u32) -> u64 {
         if lane == EXTERNAL_LANE {
             let s = self.external_seq;
             self.external_seq += 1;
@@ -225,7 +227,7 @@ impl EventQueue {
 
     /// Intern a payload type into the accounting table without counting
     /// anything. Returns the table index used by [`ScheduledEvent`].
-    pub fn intern_type(&mut self, tid: TypeId, name: Option<&'static str>) -> u16 {
+    fn intern_type(&mut self, tid: TypeId, name: Option<&'static str>) -> u16 {
         let ix = match self.type_ix.get(&tid) {
             Some(&ix) => ix as usize,
             None => {
@@ -243,33 +245,6 @@ impl EventQueue {
             acct.name = name;
         }
         ix as u16
-    }
-
-    /// Count one scheduled event of type `type_ix`. Split from
-    /// [`push_keyed`](Self::push_keyed) so the kernel can decide *where*
-    /// an event is accounted (sender shard vs. receiver shard, primary-only
-    /// for replicated actors) independently of where it is enqueued.
-    pub fn count_scheduled(&mut self, type_ix: u16, timer: bool) {
-        self.scheduled_total += 1;
-        let acct = &mut self.types[type_ix as usize];
-        acct.scheduled += 1;
-        if timer {
-            acct.timers += 1;
-            self.timer_scheduled += 1;
-        }
-    }
-
-    /// Push a fully-keyed event (key already assigned — e.g. one that
-    /// crossed a shard boundary carrying its sender-side key).
-    pub fn push_keyed(&mut self, ev: ScheduledEvent) {
-        let t0 = self.wall.as_ref().map(|_| Instant::now());
-        self.heap.push(ev);
-        if self.heap.len() > self.peak_depth {
-            self.peak_depth = self.heap.len();
-        }
-        if let (Some(t0), Some(w)) = (t0, self.wall.as_mut()) {
-            w.push.add(t0.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Pop the earliest event, if any.
@@ -322,22 +297,28 @@ impl EventQueue {
         self.peak_depth
     }
 
-    /// Per-payload-type accounting snapshot, sorted by scheduled count
-    /// descending then name (deterministic regardless of `TypeId` hashing).
+    /// Per-payload-type accounting snapshot, one row per short type name:
+    /// distinct types that print alike (two crates' `Tick`) and every
+    /// untyped schedule share a row. Sorted by scheduled count descending
+    /// then name (deterministic regardless of `TypeId` hashing).
     pub fn type_stats(&self) -> Vec<EventTypeStat> {
-        let mut rows: Vec<EventTypeStat> = self
-            .types
-            .iter()
-            .map(|t| EventTypeStat {
-                name: t
-                    .name
-                    .map_or_else(|| "<untyped>".to_owned(), short_type_name),
-                scheduled: t.scheduled,
-                executed: t.executed,
-                dropped: t.dropped,
-                timers: t.timers,
-            })
-            .collect();
+        let mut by_name: BTreeMap<String, EventTypeStat> = BTreeMap::new();
+        for t in &self.types {
+            let name = t
+                .name
+                .map_or_else(|| "<untyped>".to_owned(), short_type_name);
+            let row = by_name
+                .entry(name)
+                .or_insert_with_key(|name| EventTypeStat {
+                    name: name.clone(),
+                    ..EventTypeStat::default()
+                });
+            row.scheduled += t.scheduled;
+            row.executed += t.executed;
+            row.dropped += t.dropped;
+            row.timers += t.timers;
+        }
+        let mut rows: Vec<EventTypeStat> = by_name.into_values().collect();
         rows.sort_by(|a, b| b.scheduled.cmp(&a.scheduled).then(a.name.cmp(&b.name)));
         rows
     }
@@ -428,28 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn keyed_push_preserves_foreign_keys() {
-        // A cross-shard event arrives carrying its sender-side key and must
-        // order exactly as if it had been scheduled locally.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_secs(1);
-        q.schedule_on_lane(t, 2, aid(0), Box::new(2u32), None, false);
-        let ix = q.intern_type(TypeId::of::<u32>(), Some("u32"));
-        q.push_keyed(ScheduledEvent {
-            at: t,
-            lane: 1,
-            lane_seq: 0,
-            target: aid(0),
-            payload: Box::new(1u32),
-            type_ix: ix,
-        });
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|e| *e.payload.downcast::<u32>().unwrap())
-            .collect();
-        assert_eq!(order, vec![1, 2]);
-    }
-
-    #[test]
     fn peek_time_matches_pop() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
@@ -517,6 +476,42 @@ mod tests {
         let (push, pop) = q.wall_timing().unwrap();
         assert_eq!(push.count, 2);
         assert_eq!(pop.count, 1);
+    }
+
+    #[test]
+    fn type_stats_share_a_row_per_short_name() {
+        mod a {
+            pub struct Tick;
+        }
+        mod b {
+            pub struct Tick;
+        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(1);
+        q.schedule_tagged(
+            t,
+            aid(0),
+            Box::new(a::Tick),
+            Some(std::any::type_name::<a::Tick>()),
+            true,
+        );
+        q.schedule_tagged(
+            t,
+            aid(0),
+            Box::new(b::Tick),
+            Some(std::any::type_name::<b::Tick>()),
+            false,
+        );
+        q.schedule_tagged(t, aid(0), Box::new(1u32), None, false);
+        q.schedule_tagged(t, aid(0), Box::new(()), None, false);
+        let rows = q.type_stats();
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        for row in &rows {
+            assert_eq!(row.scheduled, 2, "{row:?}");
+        }
+        let tick = rows.iter().find(|r| r.name == "Tick").unwrap();
+        assert_eq!(tick.timers, 1);
+        assert!(rows.iter().any(|r| r.name == "<untyped>"));
     }
 
     #[test]

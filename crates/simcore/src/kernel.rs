@@ -1,34 +1,16 @@
 //! The simulation kernel: actor slab, event loop, and the [`Context`]
 //! through which actors touch the world.
 //!
-//! ## Sharding model
-//!
-//! A simulation can be partitioned across *shards* (see `crates/simshard`):
-//! each shard thread builds the **whole** world identically (replicated
-//! build), but only hosts the actors whose node the shard's locality filter
-//! claims. Remote actors become *ghosts*: they occupy their slot index (so
-//! ids, lanes and connection numbering stay identical on every shard) but
-//! hold no behaviour and never execute. Messages addressed to a ghost are
-//! handed to the [`RemoteRouter`] carrying their full deterministic key
-//! `(at, lane, lane_seq)`; the owning shard injects them verbatim, so the
-//! merged event history is byte-identical to a serial run.
-//!
-//! A few actors (fault driver, samplers) are *replicated*: they run
-//! identically on every shard and only touch shard-local state. Their
-//! self-sends are accounted only on the *primary* shard so that summed
-//! [`KernelStats`] match a serial run exactly.
-//!
 //! Every randomness draw goes through a per-actor RNG stream derived from
 //! `(seed, actor index)` — never a shared sequential stream — so the draw
-//! sequence an actor sees is independent of how actors interleave across
-//! shards.
+//! sequence an actor sees is independent of how other actors interleave
+//! with it.
 
 use crate::actor::{Actor, ActorId};
-use crate::event::{EventQueue, EventTypeStat, Payload, ScheduledEvent, WallAccum, EXTERNAL_LANE};
+use crate::event::{EventQueue, EventTypeStat, Payload, WallAccum};
 use crate::rng::SimRng;
 use crate::service::ServiceMap;
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Kernel run statistics: a snapshot built on demand from the always-on
@@ -47,59 +29,21 @@ pub struct KernelStats {
     pub timer_scheduled: u64,
     /// Of `scheduled_total`, how many were ordinary messages.
     pub message_scheduled: u64,
-    /// High-watermark of pending events.
+    /// High-watermark of pending events. Deterministic at a fixed seed.
     pub peak_queue_depth: u64,
-    /// Per-payload-type counters, sorted by scheduled count descending then
-    /// name.
+    /// Per-payload-type counters, one row per short type name, sorted by
+    /// scheduled count descending then name.
     pub by_type: Vec<EventTypeStat>,
     /// Queue depth sampled over virtual time, roughly once per virtual
     /// second (coarsened adaptively so the vector stays bounded).
+    /// Deterministic at a fixed seed, like every other field.
     pub depth_samples: Vec<(SimTime, u64)>,
 }
 
 impl KernelStats {
-    /// Merge per-shard statistics into the totals a serial run would have
-    /// produced. All event counters sum exactly (cross-shard events are
-    /// scheduled on the sender shard and executed on the receiver shard;
-    /// replicated actors are accounted on the primary shard only).
-    ///
-    /// Two fields are *shard-local observations*, not conserved quantities,
-    /// and are excluded from [`determinism_digest`](Self::determinism_digest):
-    /// `peak_queue_depth` (merged as the max over shards — a serial run
-    /// holding every shard's events in one heap generally peaks higher) and
-    /// `depth_samples` (taken from the first shard).
-    pub fn merged(parts: &[KernelStats]) -> KernelStats {
-        let mut out = KernelStats::default();
-        let mut by_name: BTreeMap<String, EventTypeStat> = BTreeMap::new();
-        for p in parts {
-            out.events_processed += p.events_processed;
-            out.events_dropped += p.events_dropped;
-            out.scheduled_total += p.scheduled_total;
-            out.timer_scheduled += p.timer_scheduled;
-            out.message_scheduled += p.message_scheduled;
-            out.peak_queue_depth = out.peak_queue_depth.max(p.peak_queue_depth);
-            for t in &p.by_type {
-                let e = by_name.entry(t.name.clone()).or_default();
-                e.name = t.name.clone();
-                e.scheduled += t.scheduled;
-                e.executed += t.executed;
-                e.dropped += t.dropped;
-                e.timers += t.timers;
-            }
-        }
-        if let Some(first) = parts.first() {
-            out.depth_samples = first.depth_samples.clone();
-        }
-        let mut rows: Vec<EventTypeStat> = by_name.into_values().collect();
-        rows.sort_by(|a, b| b.scheduled.cmp(&a.scheduled).then(a.name.cmp(&b.name)));
-        out.by_type = rows;
-        out
-    }
-
-    /// Canonical text of every *conserved* kernel counter — the quantities
-    /// that must be byte-identical between serial and sharded runs of the
-    /// same seed. Excludes `peak_queue_depth` and `depth_samples`, which
-    /// measure shard-local heap shape rather than simulation behaviour.
+    /// Canonical text of the kernel's event counters: processed, dropped,
+    /// scheduled (timers and messages) and the per-type table. Leaves out
+    /// the queue-shape fields `peak_queue_depth` and `depth_samples`.
     pub fn determinism_digest(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -135,15 +79,6 @@ pub struct KernelHotpath {
     pub queue_pop: WallAccum,
 }
 
-impl KernelHotpath {
-    /// Sum another shard's hot-path totals into this one.
-    pub fn merge(&mut self, other: &KernelHotpath) {
-        self.dispatch.merge(other.dispatch);
-        self.queue_push.merge(other.queue_push);
-        self.queue_pop.merge(other.queue_pop);
-    }
-}
-
 /// Depth-over-virtual-time sampling stops coarsening only once the sample
 /// vector would exceed this many entries; past it, every other sample is
 /// dropped and the interval doubles.
@@ -160,47 +95,9 @@ pub enum RunOutcome {
     EventLimit,
 }
 
-/// An event addressed to an actor hosted on another shard, carrying its
-/// sender-side deterministic key so the owning shard can enqueue it exactly
-/// where a serial run would have.
-pub struct RemoteEnvelope {
-    /// When the event fires.
-    pub at: SimTime,
-    /// Sender's scheduling lane.
-    pub lane: u32,
-    /// Sender's FIFO sequence within the lane.
-    pub lane_seq: u64,
-    /// Receiving actor (a ghost on the sending shard).
-    pub target: ActorId,
-    /// Message payload.
-    pub payload: Payload,
-    /// Static payload type name for receiver-side accounting, if known.
-    pub type_name: Option<&'static str>,
-}
-
-/// Delivers [`RemoteEnvelope`]s to the shard owning `target_node`.
-/// Installed by the shard executor; never consulted in serial runs (no
-/// ghosts exist).
-pub trait RemoteRouter {
-    /// Route one envelope. `target_node` is the simulated node hosting the
-    /// target actor.
-    fn route(&mut self, env: RemoteEnvelope, target_node: u16);
-}
-
-/// Per-actor kernel bookkeeping for sharded runs.
-#[derive(Debug, Clone, Copy, Default)]
-struct ActorMeta {
-    /// Actor lives on another shard; slot holds no behaviour here.
-    ghost: bool,
-    /// Actor runs identically on every shard (accounted on primary only).
-    replicated: bool,
-    /// Simulated node the actor was registered under, if declared.
-    node: Option<u16>,
-}
-
 /// Lazily-derived per-actor RNG streams. Stream `ix` is a pure function of
 /// `(seed, ix)`, so an actor's draw sequence never depends on which other
-/// actors ran before it — the property that makes randomness shard-invariant.
+/// actors ran before it.
 struct ActorRngs {
     seed: u64,
     streams: Vec<Option<SimRng>>,
@@ -217,30 +114,21 @@ impl ActorRngs {
 }
 
 type ActorSlot = Option<Box<dyn Actor>>;
-type LocalityFn = Box<dyn Fn(u16) -> bool>;
 
-/// A complete simulated world (or, in sharded runs, one shard's replica of
-/// it — see the module docs).
+/// A complete simulated world.
 pub struct Simulation {
     now: SimTime,
     queue: EventQueue,
     actors: Vec<ActorSlot>,
-    meta: Vec<ActorMeta>,
     services: ServiceMap,
     actor_rngs: ActorRngs,
     events_processed: u64,
     events_dropped: u64,
-    /// Events dispatched per actor (diagnostics / hot-actor tracing).
-    dispatch_counts: Vec<u64>,
     depth_interval: SimDuration,
     next_depth_sample: SimTime,
     depth_samples: Vec<(SimTime, u64)>,
     dispatch_wall: Option<WallAccum>,
     started: bool,
-    locality: Option<LocalityFn>,
-    current_node: Option<u16>,
-    primary: bool,
-    router: Option<Box<dyn RemoteRouter>>,
 }
 
 impl Simulation {
@@ -250,7 +138,6 @@ impl Simulation {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             actors: Vec::new(),
-            meta: Vec::new(),
             services: ServiceMap::new(),
             actor_rngs: ActorRngs {
                 seed,
@@ -258,16 +145,11 @@ impl Simulation {
             },
             events_processed: 0,
             events_dropped: 0,
-            dispatch_counts: Vec::new(),
             depth_interval: SimDuration::from_secs(1),
             next_depth_sample: SimTime::ZERO,
             depth_samples: Vec::new(),
             dispatch_wall: None,
             started: false,
-            locality: None,
-            current_node: None,
-            primary: true,
-            router: None,
         }
     }
 
@@ -317,119 +199,11 @@ impl Simulation {
         })
     }
 
-    /// Events dispatched to one actor so far.
-    pub fn dispatch_count(&self, id: ActorId) -> u64 {
-        self.dispatch_counts.get(id.index()).copied().unwrap_or(0)
-    }
-
-    /// The `n` busiest actors as `(id, name, events)`, descending.
-    pub fn busiest_actors(&self, n: usize) -> Vec<(ActorId, String, u64)> {
-        let mut rows: Vec<(ActorId, String, u64)> = self
-            .dispatch_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(ix, &c)| {
-                let id = ActorId::from_index(ix);
-                let name = self.actors[ix]
-                    .as_ref()
-                    .map_or_else(|| "<retired>".to_owned(), |a| a.name().to_owned());
-                (id, name, c)
-            })
-            .collect();
-        rows.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));
-        rows.truncate(n);
-        rows
-    }
-
-    /// Install the shard locality filter: `f(node)` answers "is this node
-    /// hosted here?". From now on every [`add_actor`](Self::add_actor) must
-    /// be preceded by [`on_node`](Self::on_node) (or use
-    /// [`add_replicated_actor`](Self::add_replicated_actor)); actors on
-    /// foreign nodes become ghosts.
-    pub fn set_locality(&mut self, f: impl Fn(u16) -> bool + 'static) {
-        self.locality = Some(Box::new(f));
-    }
-
-    /// Declare the simulated node that subsequently-registered actors live
-    /// on (sticky until changed). Required between actors under sharding;
-    /// optional (pure metadata) otherwise.
-    pub fn on_node(&mut self, node: u16) {
-        self.current_node = Some(node);
-    }
-
-    /// Whether a locality filter is installed (i.e. this world is one shard
-    /// of a partitioned run — possibly a 1-shard one).
-    pub fn is_sharded(&self) -> bool {
-        self.locality.is_some()
-    }
-
-    /// Mark this shard as the accounting primary (shard 0). Replicated
-    /// actors' events are only counted on the primary so that summed
-    /// [`KernelStats`] equal a serial run. Serial worlds are primary.
-    pub fn set_primary(&mut self, primary: bool) {
-        self.primary = primary;
-    }
-
-    /// Install the cross-shard router consulted for messages to ghosts.
-    pub fn set_router(&mut self, r: impl RemoteRouter + 'static) {
-        self.router = Some(Box::new(r));
-    }
-
-    /// True if `id` is a ghost here (hosted by another shard).
-    pub fn is_ghost(&self, id: ActorId) -> bool {
-        self.meta.get(id.index()).is_some_and(|m| m.ghost)
-    }
-
-    /// The declared node of an actor, if any.
-    pub fn actor_node(&self, id: ActorId) -> Option<u16> {
-        self.meta.get(id.index()).and_then(|m| m.node)
-    }
-
     /// Register an actor; returns its id. Actors registered before the
     /// first `run_*` call get `on_start` at t = 0 in registration order;
     /// actors spawned later (via [`Context::spawn`]) get it immediately.
-    ///
-    /// Under sharding the actor's node (from [`on_node`](Self::on_node))
-    /// decides whether it is hosted here or becomes a ghost.
     pub fn add_actor(&mut self, actor: impl Actor + 'static) -> ActorId {
         let id = ActorId::from_index(self.actors.len());
-        let (ghost, node) = match &self.locality {
-            Some(f) => {
-                let n = self.current_node.expect(
-                    "sharded build: declare the actor's node with on_node(..) \
-                     before add_actor (or use add_replicated_actor)",
-                );
-                (!f(n), Some(n))
-            }
-            None => (false, self.current_node),
-        };
-        self.meta.push(ActorMeta {
-            ghost,
-            replicated: false,
-            node,
-        });
-        if ghost {
-            self.actors.push(None);
-        } else {
-            self.actors.push(Some(Box::new(actor)));
-            if self.started {
-                self.start_actor(id);
-            }
-        }
-        id
-    }
-
-    /// Register an actor that runs identically on *every* shard (e.g. the
-    /// fault driver or a sampler whose state is shard-local). Never a
-    /// ghost; its events are accounted on the primary shard only.
-    pub fn add_replicated_actor(&mut self, actor: impl Actor + 'static) -> ActorId {
-        let id = ActorId::from_index(self.actors.len());
-        self.meta.push(ActorMeta {
-            ghost: false,
-            replicated: true,
-            node: None,
-        });
         self.actors.push(Some(Box::new(actor)));
         if self.started {
             self.start_actor(id);
@@ -456,78 +230,18 @@ impl Simulation {
     /// experiment wiring). Uses the external scheduling lane.
     pub fn schedule(&mut self, delay: SimDuration, target: ActorId, payload: Payload) {
         let at = self.now + delay;
-        self.schedule_external(at, target, payload);
+        self.queue.schedule(at, target, payload);
     }
 
     /// Schedule at an absolute instant (must not be in the past).
     pub fn schedule_at(&mut self, at: SimTime, target: ActorId, payload: Payload) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.schedule_external(at, target, payload);
-    }
-
-    /// External-lane scheduling with ghost handling: a replicated build
-    /// performs the same external schedule on every shard, so the lane
-    /// counter advances everywhere (identical keys) but only the shard
-    /// hosting the target enqueues and accounts the event.
-    fn schedule_external(&mut self, at: SimTime, target: ActorId, payload: Payload) {
-        let lane_seq = self.queue.next_lane_seq(EXTERNAL_LANE);
-        let tmeta = self.meta.get(target.index()).copied().unwrap_or_default();
-        if tmeta.ghost {
-            return;
-        }
-        let type_ix = self.queue.intern_type(payload.as_ref().type_id(), None);
-        if self.primary || !tmeta.replicated {
-            self.queue.count_scheduled(type_ix, false);
-        }
-        self.queue.push_keyed(ScheduledEvent {
-            at,
-            lane: EXTERNAL_LANE,
-            lane_seq,
-            target,
-            payload,
-            type_ix,
-        });
-    }
-
-    /// Inject an event that crossed the shard boundary. Its `scheduled`
-    /// accounting happened on the sender shard; here it is only enqueued
-    /// (and will be accounted as executed/dropped where it dispatches).
-    pub fn inject_remote(&mut self, env: RemoteEnvelope) {
-        debug_assert!(
-            env.at >= self.now,
-            "remote envelope arrived in this shard's past: lookahead violated"
-        );
-        let type_ix = self
-            .queue
-            .intern_type(env.payload.as_ref().type_id(), env.type_name);
-        self.queue.push_keyed(ScheduledEvent {
-            at: env.at,
-            lane: env.lane,
-            lane_seq: env.lane_seq,
-            target: env.target,
-            payload: env.payload,
-            type_ix,
-        });
+        self.queue.schedule(at, target, payload);
     }
 
     /// Number of pending events.
     pub fn pending_events(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Time of the earliest pending event (the shard's contribution to the
-    /// lower-bound-timestamp computation).
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Run `on_start` for every registered actor now (idempotent). The
-    /// `run_*` methods do this lazily, but the shard executor must force
-    /// it *before* the first lower-bound-timestamp round: `on_start`
-    /// timers are part of the initial event population, and a shard whose
-    /// only events come from them would otherwise report an empty queue.
-    pub fn start(&mut self) {
-        self.ensure_started();
     }
 
     fn ensure_started(&mut self) {
@@ -554,10 +268,6 @@ impl Simulation {
             services: &mut self.services,
             rngs: &mut self.actor_rngs,
             actors: &mut self.actors,
-            meta: &mut self.meta,
-            router: &mut self.router,
-            primary: self.primary,
-            sharded: self.locality.is_some(),
             started: self.started,
         };
         actor.on_start(&mut ctx);
@@ -575,19 +285,10 @@ impl Simulation {
         self.sample_depth();
         let ix = ev.target.index();
         let type_ix = ev.type_ix;
-        // Replicated actors execute on every shard but are accounted only
-        // on the primary, so summed shard stats equal a serial run. The
-        // wall-clock dispatch sample follows the same rule, keeping the
-        // merged timing count equal to the merged event count.
-        let count_it = self.primary || !self.meta.get(ix).is_some_and(|m| m.replicated);
         let taken = self.actors.get_mut(ix).and_then(|s| s.take());
         match taken {
             Some(mut actor) => {
-                let t0 = if count_it {
-                    self.dispatch_wall.as_ref().map(|_| Instant::now())
-                } else {
-                    None
-                };
+                let t0 = self.dispatch_wall.as_ref().map(|_| Instant::now());
                 let mut ctx = Context {
                     now: self.now,
                     self_id: ev.target,
@@ -595,10 +296,6 @@ impl Simulation {
                     services: &mut self.services,
                     rngs: &mut self.actor_rngs,
                     actors: &mut self.actors,
-                    meta: &mut self.meta,
-                    router: &mut self.router,
-                    primary: self.primary,
-                    sharded: self.locality.is_some(),
                     started: self.started,
                 };
                 actor.handle(ev.payload, &mut ctx);
@@ -608,20 +305,12 @@ impl Simulation {
                 // The slot is still None (actors are only ever inserted at
                 // fresh indices while running), so this cannot clobber.
                 self.actors[ix] = Some(actor);
-                if count_it {
-                    self.events_processed += 1;
-                    self.queue.note_executed(type_ix);
-                }
-                if self.dispatch_counts.len() <= ix {
-                    self.dispatch_counts.resize(ix + 1, 0);
-                }
-                self.dispatch_counts[ix] += 1;
+                self.events_processed += 1;
+                self.queue.note_executed(type_ix);
             }
             None => {
-                if count_it {
-                    self.events_dropped += 1;
-                    self.queue.note_dropped(type_ix);
-                }
+                self.events_dropped += 1;
+                self.queue.note_dropped(type_ix);
             }
         }
         true
@@ -665,28 +354,6 @@ impl Simulation {
         }
     }
 
-    /// Execute every pending event with `at < end` (and `at <= horizon`),
-    /// then stop — the conservative-lockstep inner loop. Unlike
-    /// [`run_until`](Self::run_until) this neither advances the clock to
-    /// `end` nor drains events *at* `end`; the shard executor owns the
-    /// window bookkeeping.
-    pub fn run_window(&mut self, end: SimTime, horizon: SimTime) {
-        self.ensure_started();
-        while let Some(t) = self.queue.peek_time() {
-            if t >= end || t > horizon {
-                break;
-            }
-            self.step();
-        }
-    }
-
-    /// Advance the clock to `t` without executing anything (end-of-run
-    /// normalisation by the shard executor).
-    pub fn advance_to(&mut self, t: SimTime) {
-        debug_assert!(t >= self.now, "cannot move the clock backwards");
-        self.now = t;
-    }
-
     /// Run for a relative span of virtual time.
     pub fn run_for(&mut self, d: SimDuration) -> RunOutcome {
         let horizon = self.now + d;
@@ -716,10 +383,6 @@ pub struct Context<'a> {
     services: &'a mut ServiceMap,
     rngs: &'a mut ActorRngs,
     actors: &'a mut Vec<ActorSlot>,
-    meta: &'a mut Vec<ActorMeta>,
-    router: &'a mut Option<Box<dyn RemoteRouter>>,
-    primary: bool,
-    sharded: bool,
     started: bool,
 }
 
@@ -736,20 +399,9 @@ impl Context<'_> {
 
     /// This actor's deterministic RNG stream. Derived from
     /// `(seed, actor index)`, so the draw sequence is independent of event
-    /// interleaving with other actors (and therefore of sharding).
+    /// interleaving with other actors.
     pub fn rng(&mut self) -> &mut SimRng {
         self.rngs.get(self.self_id.index())
-    }
-
-    /// True if `id` is hosted by another shard (always false serially).
-    pub fn is_remote(&self, id: ActorId) -> bool {
-        self.meta.get(id.index()).is_some_and(|m| m.ghost)
-    }
-
-    /// True on the accounting-primary shard (and in serial runs). Lets
-    /// replicated actors count a side effect exactly once across shards.
-    pub fn accounting_primary(&self) -> bool {
-        self.primary
     }
 
     /// Send a message to `target` after `delay`. The value is boxed here;
@@ -784,16 +436,9 @@ impl Context<'_> {
         );
     }
 
-    /// The one scheduling choke point for actor sends. Assigns the
-    /// deterministic `(at, lane, lane_seq)` key from this actor's lane, then
-    /// applies the shard policy:
-    ///
-    /// * local target — enqueue (and account, unless the target is
-    ///   replicated and this is not the primary shard);
-    /// * ghost target, normal sender — account here (sender side) and hand
-    ///   the keyed envelope to the router;
-    /// * ghost target, replicated sender — drop silently: the sender's
-    ///   replica on the target's own shard performs the local send.
+    /// The one scheduling choke point for actor sends: assigns the
+    /// deterministic `(at, lane, lane_seq)` key from this actor's lane,
+    /// accounts the event and enqueues it.
     fn schedule_keyed(
         &mut self,
         at: SimTime,
@@ -803,47 +448,8 @@ impl Context<'_> {
         timer: bool,
     ) {
         let lane = self.self_id.index() as u32;
-        let lane_seq = self.queue.next_lane_seq(lane);
-        let tmeta = self.meta.get(target.index()).copied().unwrap_or_default();
-        if tmeta.ghost {
-            let self_rep = self
-                .meta
-                .get(self.self_id.index())
-                .is_some_and(|m| m.replicated);
-            if self_rep {
-                return;
-            }
-            let type_ix = self.queue.intern_type(payload.as_ref().type_id(), name);
-            self.queue.count_scheduled(type_ix, timer);
-            let node = tmeta.node.expect("ghost actor has no node");
-            self.router
-                .as_mut()
-                .expect("message to a ghost actor but no router installed")
-                .route(
-                    RemoteEnvelope {
-                        at,
-                        lane,
-                        lane_seq,
-                        target,
-                        payload,
-                        type_name: name,
-                    },
-                    node,
-                );
-            return;
-        }
-        let type_ix = self.queue.intern_type(payload.as_ref().type_id(), name);
-        if self.primary || !tmeta.replicated {
-            self.queue.count_scheduled(type_ix, timer);
-        }
-        self.queue.push_keyed(ScheduledEvent {
-            at,
-            lane,
-            lane_seq,
-            target,
-            payload,
-            type_ix,
-        });
+        self.queue
+            .schedule_on_lane(at, lane, target, payload, name, timer);
     }
 
     /// Send a message to `target` at the current instant. Among events for
@@ -866,18 +472,9 @@ impl Context<'_> {
     }
 
     /// Spawn a new actor mid-simulation; `on_start` runs immediately.
-    ///
-    /// Not supported in sharded runs: mid-run registration would have to be
-    /// replayed identically on every shard to keep actor ids aligned, and
-    /// no production component needs it.
     pub fn spawn(&mut self, actor: impl Actor + 'static) -> ActorId {
-        assert!(
-            !self.sharded,
-            "Context::spawn is not supported in sharded runs"
-        );
         let id = ActorId::from_index(self.actors.len());
         self.actors.push(Some(Box::new(actor)));
-        self.meta.push(ActorMeta::default());
         if self.started {
             // Run on_start with a nested context for the new actor.
             let mut newcomer = self.actors[id.index()].take().expect("just inserted");
@@ -888,10 +485,6 @@ impl Context<'_> {
                 services: self.services,
                 rngs: self.rngs,
                 actors: self.actors,
-                meta: self.meta,
-                router: self.router,
-                primary: self.primary,
-                sharded: self.sharded,
                 started: self.started,
             };
             newcomer.on_start(&mut ctx);
@@ -940,10 +533,6 @@ impl Context<'_> {
                 services: self.services,
                 rngs: self.rngs,
                 actors: self.actors,
-                meta: self.meta,
-                router: self.router,
-                primary: self.primary,
-                sharded: self.sharded,
                 started: self.started,
             },
         );
@@ -1073,30 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn run_window_is_half_open() {
-        let mut sim = Simulation::new(44);
-        let hits: Arc<AtomicU32> = Default::default();
-        let h = hits.clone();
-        let a = sim.add_actor(FnActor(move |_m: Payload, _c: &mut Context| {
-            h.fetch_add(1, Ordering::Relaxed);
-        }));
-        sim.schedule(SimDuration::from_secs(1), a, Box::new(()));
-        sim.schedule(SimDuration::from_secs(2), a, Box::new(()));
-        sim.schedule(SimDuration::from_secs(3), a, Box::new(()));
-        // Window [_, 2): only the t=1 event fires; t=2 stays pending.
-        sim.run_window(SimTime::from_secs(2), SimTime::from_secs(100));
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
-        assert_eq!(sim.pending_events(), 2);
-        // The clock does not jump to the window end on its own.
-        assert_eq!(sim.now(), SimTime::from_secs(1));
-        sim.run_window(SimTime::from_secs(10), SimTime::from_secs(2));
-        // Horizon caps execution even inside the window.
-        assert_eq!(hits.load(Ordering::Relaxed), 2);
-        sim.advance_to(SimTime::from_secs(2));
-        assert_eq!(sim.now(), SimTime::from_secs(2));
-    }
-
-    #[test]
     fn messages_to_retired_actor_are_dropped() {
         let mut sim = Simulation::new(5);
         let victim = sim.add_actor(crate::actor::NullActor);
@@ -1167,25 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_counters_track_hot_actors() {
-        let mut sim = Simulation::new(12);
-        let quiet = sim.add_actor(crate::actor::NullActor);
-        let busy = sim.add_actor(crate::actor::NullActor);
-        sim.schedule(SimDuration::from_secs(1), quiet, Box::new(()));
-        for i in 0..5u64 {
-            sim.schedule(SimDuration::from_secs(i + 1), busy, Box::new(()));
-        }
-        sim.run_to_completion(100);
-        assert_eq!(sim.dispatch_count(quiet), 1);
-        assert_eq!(sim.dispatch_count(busy), 5);
-        let top = sim.busiest_actors(1);
-        assert_eq!(top.len(), 1);
-        assert_eq!(top[0].0, busy);
-        assert_eq!(top[0].2, 5);
-        assert_eq!(sim.dispatch_count(ActorId::from_index(99)), 0);
-    }
-
-    #[test]
     fn stats_type_counts_sum_to_scheduled_total() {
         #[derive(Debug)]
         struct Ping;
@@ -1203,8 +749,8 @@ mod tests {
         }
         let mut sim = Simulation::new(42);
         let e = sim.add_actor(Echo);
-        let ghost = ActorId::from_index(77);
-        sim.schedule(SimDuration::from_secs(2), ghost, Box::new(()));
+        let missing = ActorId::from_index(77);
+        sim.schedule(SimDuration::from_secs(2), missing, Box::new(()));
         sim.schedule(SimDuration::from_secs(3), e, Box::new(Tick(9)));
         sim.run_to_completion(100);
 
@@ -1315,116 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn ghosts_route_remotely_and_replicas_account_on_primary_only() {
-        // A tiny two-"shard" world driven by hand: shard A hosts node 0,
-        // shard B hosts node 1. A loopback router records what A tried to
-        // send across.
-        #[derive(Default)]
-        struct Captured(Arc<Mutex<Vec<(u64, u32, u64)>>>);
-        impl RemoteRouter for Captured {
-            fn route(&mut self, env: RemoteEnvelope, target_node: u16) {
-                assert_eq!(target_node, 1);
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push((env.at.as_micros(), env.lane, env.lane_seq));
-            }
-        }
-        let captured: Arc<Mutex<Vec<(u64, u32, u64)>>> = Default::default();
-
-        let mut sim = Simulation::new(9);
-        sim.set_locality(|node| node == 0);
-        sim.set_router(Captured(captured.clone()));
-        sim.set_primary(false);
-        sim.on_node(0);
-        let remote_target = {
-            // Build order: local sender is actor 0, ghost is actor 1.
-            let g: Arc<Mutex<Vec<(u64, u32, u64)>>> = Default::default();
-            let _ = g;
-            ActorId::from_index(1)
-        };
-        let sender = sim.add_actor(FnActor(move |_m: Payload, ctx: &mut Context| {
-            assert!(ctx.is_remote(remote_target));
-            ctx.send_in(SimDuration::from_millis(5), remote_target, 7u32);
-        }));
-        sim.on_node(1);
-        let ghost = sim.add_actor(crate::actor::NullActor);
-        assert_eq!(ghost, remote_target);
-        assert!(sim.is_ghost(ghost));
-        assert_eq!(sim.actor_node(ghost), Some(1));
-
-        // A replicated ticker: executes here but is not accounted (not
-        // primary), and its send to the ghost is dropped, not routed.
-        struct Rep {
-            ghost: ActorId,
-        }
-        impl Actor for Rep {
-            fn on_start(&mut self, ctx: &mut Context<'_>) {
-                ctx.timer(SimDuration::from_millis(1), Tick(0));
-            }
-            fn handle(&mut self, _msg: Payload, ctx: &mut Context<'_>) {
-                assert!(!ctx.accounting_primary());
-                ctx.send_now(self.ghost, Tick(1));
-            }
-        }
-        sim.add_replicated_actor(Rep { ghost });
-
-        // External schedule to the ghost: consumes a lane seq, enqueues
-        // nothing (the owning shard will enqueue its own copy).
-        sim.schedule(SimDuration::from_millis(2), ghost, Box::new(()));
-        // External schedule to the local sender.
-        sim.schedule(SimDuration::from_millis(3), sender, Box::new(()));
-
-        sim.run_to_completion(100);
-        // Only the normal sender's message crossed the boundary.
-        assert_eq!(&*captured.lock().unwrap(), &[(8_000, 0, 0)]);
-        let stats = sim.stats();
-        // Accounted: the external send to the local sender (the ghost
-        // external was skipped) plus the routed cross-shard send (sender
-        // side). The replicated timer/tick are primary-only, so invisible.
-        assert_eq!(stats.scheduled_total, 2);
-        assert_eq!(stats.timer_scheduled, 0);
-        assert_eq!(stats.events_processed, 1);
-        assert_eq!(stats.events_dropped, 0);
-    }
-
-    #[test]
-    fn inject_remote_preserves_keys_and_counts_executed_only() {
-        let mut sim = Simulation::new(10);
-        let log: Arc<Mutex<Vec<u32>>> = Default::default();
-        let l = log.clone();
-        let a = sim.add_actor(FnActor(move |m: Payload, _c: &mut Context| {
-            l.lock().unwrap().push(*m.downcast::<u32>().unwrap());
-        }));
-        // A local event and a remote envelope at the same instant: the
-        // envelope's lane (0) beats the external lane.
-        sim.schedule(SimDuration::from_millis(1), a, Box::new(2u32));
-        sim.inject_remote(RemoteEnvelope {
-            at: SimTime::from_millis(1),
-            lane: 0,
-            lane_seq: 0,
-            target: a,
-            payload: Box::new(1u32),
-            type_name: Some("u32"),
-        });
-        sim.run_to_completion(10);
-        assert_eq!(&*log.lock().unwrap(), &[1, 2]);
-        let stats = sim.stats();
-        // The injected event was scheduled on its sender shard: here it
-        // only counts as executed.
-        assert_eq!(stats.scheduled_total, 1);
-        assert_eq!(stats.events_processed, 2);
-    }
-
-    #[test]
-    fn kernel_stats_merge_and_digest() {
-        let mk = |name: &str, sched: u64, exec: u64| EventTypeStat {
-            name: name.into(),
-            scheduled: sched,
-            executed: exec,
-            dropped: 0,
-            timers: 0,
-        };
+    fn digest_covers_event_counters_but_not_queue_shape() {
         let a = KernelStats {
             events_processed: 3,
             events_dropped: 1,
@@ -1432,38 +869,21 @@ mod tests {
             timer_scheduled: 2,
             message_scheduled: 3,
             peak_queue_depth: 4,
-            by_type: vec![mk("Tick", 3, 2), mk("Ping", 2, 1)],
+            by_type: vec![EventTypeStat {
+                name: "Tick".into(),
+                scheduled: 5,
+                executed: 3,
+                dropped: 1,
+                timers: 2,
+            }],
             depth_samples: vec![(SimTime::ZERO, 1)],
         };
-        let b = KernelStats {
-            events_processed: 2,
-            events_dropped: 0,
-            scheduled_total: 2,
-            timer_scheduled: 1,
-            message_scheduled: 1,
-            peak_queue_depth: 9,
-            by_type: vec![mk("Tick", 2, 2)],
-            depth_samples: vec![(SimTime::ZERO, 7)],
-        };
-        let m = KernelStats::merged(&[a.clone(), b]);
-        assert_eq!(m.events_processed, 5);
-        assert_eq!(m.scheduled_total, 7);
-        assert_eq!(m.peak_queue_depth, 9);
-        assert_eq!(m.depth_samples, vec![(SimTime::ZERO, 1)]);
-        let tick = m.by_type.iter().find(|t| t.name == "Tick").unwrap();
-        assert_eq!(tick.scheduled, 5);
-        assert_eq!(tick.executed, 4);
-        // Digest ignores the carve-outs: same conserved counters, different
-        // peak depth / samples → same digest.
-        let mut a2 = a.clone();
-        a2.peak_queue_depth = 999;
-        a2.depth_samples.clear();
-        assert_eq!(a.determinism_digest(), a2.determinism_digest());
-        assert_ne!(a.determinism_digest(), m.determinism_digest());
-        // merged of a single part is digest-identical to the part.
-        assert_eq!(
-            KernelStats::merged(std::slice::from_ref(&a)).determinism_digest(),
-            a.determinism_digest()
-        );
+        let mut shape = a.clone();
+        shape.peak_queue_depth = 999;
+        shape.depth_samples.clear();
+        assert_eq!(a.determinism_digest(), shape.determinism_digest());
+        let mut counts = a.clone();
+        counts.by_type[0].executed += 1;
+        assert_ne!(a.determinism_digest(), counts.determinism_digest());
     }
 }

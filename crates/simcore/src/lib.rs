@@ -29,9 +29,7 @@ pub mod time;
 
 pub use actor::{Actor, ActorId, FnActor, NullActor};
 pub use event::{EventQueue, EventTypeStat, Payload, ScheduledEvent, WallAccum, EXTERNAL_LANE};
-pub use kernel::{
-    Context, KernelHotpath, KernelStats, RemoteEnvelope, RemoteRouter, RunOutcome, Simulation,
-};
+pub use kernel::{Context, KernelHotpath, KernelStats, RunOutcome, Simulation};
 pub use rng::SimRng;
 pub use service::ServiceMap;
 pub use time::{SimDuration, SimTime};

@@ -34,12 +34,10 @@ fn mix(mut z: u64) -> u64 {
 
 /// Stateless burst draw: uniform in [0, 1) from (seed, from, to, n).
 ///
-/// Burst loss draws must not depend on the global interleaving of frames
-/// — under sharding each shard sees only its own slice of the traffic,
-/// so a shared RNG stream consumed in arrival order would diverge from
-/// the serial run. Instead each (from, to) link keys its own draw
-/// sequence: the n-th frame on a link gets the same verdict no matter
-/// which shard evaluates it or what other links are doing.
+/// Burst loss draws must not depend on the global interleaving of
+/// frames: each (from, to) link keys its own draw sequence, so the n-th
+/// frame on a link gets the same verdict no matter what other links are
+/// doing.
 #[inline]
 fn link_draw(seed: u64, from: NodeId, to: NodeId, n: u64) -> f64 {
     let h =
@@ -246,30 +244,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Merge per-shard fault accounting. Every counter is incremented by
-    /// exactly one shard per underlying event (frame drops on the sender's
-    /// shard, recovery counters on the acting client's shard, `injected`
-    /// on the accounting-primary replica of the driver), so the merge is a
-    /// plain field-wise sum and merged-of-one is the identity.
-    pub fn merged(parts: impl IntoIterator<Item = FaultStats>) -> FaultStats {
-        let mut out = FaultStats::default();
-        for p in parts {
-            out.injected += p.injected;
-            out.link_drops += p.link_drops;
-            out.partition_drops += p.partition_drops;
-            out.crash_drops += p.crash_drops;
-            out.stall_rejections += p.stall_rejections;
-            out.reconnect_attempts += p.reconnect_attempts;
-            out.reconnects += p.reconnects;
-            out.delayed += p.delayed;
-            out.republished += p.republished;
-            out.recovered += p.recovered;
-            out.http_retries += p.http_retries;
-            out.reregistrations += p.reregistrations;
-        }
-        out
-    }
-
     /// Per-cause rows for `telemetry`-style degradation tables, in a
     /// stable order.
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
@@ -342,7 +316,7 @@ impl FaultInjector {
     /// Should a frame from `from` to `to` be dropped by an active fault?
     /// Burst verdicts come from per-link stateless draws (see
     /// [`link_draw`]) only while a burst window is open, so quiet periods
-    /// consume no randomness and sharding cannot reorder the draws.
+    /// consume no randomness and interleaving cannot reorder the draws.
     pub fn frame_fault(&mut self, now: SimTime, from: NodeId, to: NodeId) -> bool {
         self.partitions.retain(|(_, until)| *until > now);
         for (group, _) in &self.partitions {
@@ -457,15 +431,7 @@ impl Actor for FaultDriver {
             return;
         };
         let ev = self.schedule.events[tick.0].clone();
-        // The driver is replicated on every shard (fault windows must open
-        // everywhere), but each firing is one logical event: only the
-        // accounting-primary replica counts it.
-        let primary = ctx.accounting_primary();
-        with_faults(ctx, |inj, _| {
-            if primary {
-                inj.stats.injected += 1;
-            }
-        });
+        with_faults(ctx, |inj, _| inj.stats.injected += 1);
         let now = ctx.now();
         match ev.kind {
             FaultKind::LinkLossBurst {
@@ -581,7 +547,7 @@ mod tests {
     #[test]
     fn burst_draws_are_interleaving_invariant() {
         // Verdicts on link (0→1) must not change when traffic on an
-        // unrelated link is interleaved — the shard-partition property.
+        // unrelated link is interleaved.
         let now = SimTime::from_secs(1);
         let solo: Vec<bool> = {
             let mut inj = FaultInjector::new(42);
@@ -601,30 +567,6 @@ mod tests {
                 .collect()
         };
         assert_eq!(solo, mixed);
-    }
-
-    #[test]
-    fn split_injectors_merge_to_the_serial_stats() {
-        // Two shards each evaluating a disjoint half of the links reach,
-        // after the field-wise merge, the same stats as one serial
-        // injector seeing everything.
-        let now = SimTime::from_secs(1);
-        let mk = || {
-            let mut inj = FaultInjector::new(7);
-            inj.begin_burst(SimTime::from_secs(100), 0.5, None);
-            inj
-        };
-        let mut serial = mk();
-        let (mut left, mut right) = (mk(), mk());
-        for i in 0..32u16 {
-            let (from, to) = (NodeId(i), NodeId(i + 100));
-            let s = serial.frame_fault(now, from, to);
-            let shard = if i % 2 == 0 { &mut left } else { &mut right };
-            assert_eq!(shard.frame_fault(now, from, to), s);
-        }
-        let merged = FaultStats::merged([left.stats, right.stats]);
-        assert_eq!(merged, serial.stats);
-        assert_eq!(FaultStats::merged([serial.stats]), serial.stats);
     }
 
     #[test]

@@ -73,38 +73,22 @@ impl Transport {
 
 /// Identifies an open connection.
 ///
-/// Connections opened during the build phase get sequential ids — a
-/// replicated sharded build performs the same opens in the same order on
-/// every shard, so the numbering agrees everywhere. Connections opened at
-/// runtime (after [`NetworkFabric::finish_build`]) happen only on the
-/// opener's shard, so their ids are instead packed from the opener's actor
-/// index and a per-opener counter: bit 31 set, bits 16..31 the opener's
-/// open count, bits 0..16 the opener actor index. Both schemes are pure
-/// functions of shard-invariant inputs. The split gives 64 Ki actors and
-/// 32 Ki runtime opens per actor — a single UDP client republishing
-/// through a long broker outage can legitimately reopen thousands of
-/// times, which overflowed the previous 11-bit count field.
+/// Connections opened during the build phase get sequential ids.
+/// Connections opened at runtime (after [`NetworkFabric::finish_build`])
+/// get ids packed from the opener's actor index and a per-opener counter:
+/// bit 31 set, bits 16..31 the opener's open count, bits 0..16 the opener
+/// actor index. Brokers iterate their connections in id order, so the
+/// packing is part of every run's output and must not change. The split
+/// gives 64 Ki actors and 32 Ki runtime opens per actor — a single UDP
+/// client republishing through a long broker outage can legitimately
+/// reopen thousands of times, which overflowed the previous 11-bit count
+/// field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConnId(pub u32);
 
 const RUNTIME_CONN_BIT: u32 = 0x8000_0000;
 const RUNTIME_CONN_COUNT_SHIFT: u32 = 16;
 const RUNTIME_CONN_ACTOR_MASK: u32 = (1 << RUNTIME_CONN_COUNT_SHIFT) - 1;
-
-/// The shard-invariant identity of a connection: everything a receiving
-/// shard needs to materialize a connection its peer opened. Carried on
-/// every [`Delivery`] so cross-shard frames are self-describing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnMeta {
-    /// Transport flavour.
-    pub transport: Transport,
-    /// Opener-side endpoint.
-    pub a: Endpoint,
-    /// Acceptor-side endpoint.
-    pub b: Endpoint,
-    /// Connection usable from this instant (handshake done).
-    pub ready_at: SimTime,
-}
 
 /// One endpoint-to-endpoint connection.
 #[derive(Debug, Clone)]
@@ -115,9 +99,6 @@ struct Connection {
     /// Connection usable from this instant (handshake done).
     ready_at: SimTime,
     /// Last scheduled delivery time in each direction (a→b, b→a), for FIFO.
-    /// Each direction is only written by the side that sends on it, so a
-    /// connection split across two shards keeps exactly the state a serial
-    /// run would.
     last_delivery: [SimTime; 2],
     closed: bool,
 }
@@ -135,10 +116,6 @@ pub struct Delivery {
     pub payload: Payload,
     /// When the application handed the frame to the fabric.
     pub sent_at: SimTime,
-    /// Connection identity, so a shard receiving this frame can
-    /// materialize the connection locally (see
-    /// [`NetworkFabric::ensure_conn`]).
-    pub meta: ConnMeta,
 }
 
 /// Counters for conservation checks (sent = delivered + dropped).
@@ -201,20 +178,9 @@ impl NetworkFabric {
         self.stats
     }
 
-    /// The fabric's conservative lookahead: the minimum virtual-time
-    /// distance between handing a frame to the fabric and its delivery.
-    /// Every delivery pays at least the one-way `base_latency` (plus
-    /// transmission time and non-negative jitter), so a shard executing
-    /// events in `[t, t + lookahead)` can never receive a frame dated
-    /// inside that window from a peer shard still at time ≥ t.
-    pub fn lookahead(&self) -> SimDuration {
-        self.cfg.base_latency
-    }
-
     /// Mark the end of the deterministic build phase. Connections opened
     /// after this call get opener-derived ids (see [`ConnId`]); called by
-    /// the experiment driver once deployment wiring is complete, on every
-    /// shard (and on serial runs, for id parity).
+    /// the experiment driver once deployment wiring is complete.
     pub fn finish_build(&mut self) {
         self.build_done = true;
     }
@@ -262,39 +228,7 @@ impl NetworkFabric {
         id
     }
 
-    /// Materialize a connection another shard opened, from the identity a
-    /// cross-shard [`Delivery`] carries. Idempotent; no-op if the
-    /// connection already exists (e.g. it was opened locally or seen on an
-    /// earlier frame).
-    pub fn ensure_conn(&mut self, conn: ConnId, meta: ConnMeta) {
-        self.conns.entry(conn.0).or_insert(Connection {
-            transport: meta.transport,
-            a: meta.a,
-            b: meta.b,
-            ready_at: meta.ready_at,
-            last_delivery: [SimTime::ZERO; 2],
-            closed: false,
-        });
-    }
-
-    /// The shard-invariant identity of a connection.
-    pub fn conn_meta(&self, conn: ConnId) -> ConnMeta {
-        let c = &self.conns[&conn.0];
-        ConnMeta {
-            transport: c.transport,
-            a: c.a,
-            b: c.b,
-            ready_at: c.ready_at,
-        }
-    }
-
     /// Close a connection; subsequent sends panic (a protocol bug).
-    ///
-    /// Sharding note: a close is a local bookkeeping change — if the peer
-    /// endpoint lives on another shard, that shard's replica of the
-    /// connection stays open. This matches the asymmetric knowledge a real
-    /// TCP teardown has in flight, and no production protocol sends on a
-    /// connection after the peer closed it (doing so is the panic above).
     pub fn close(&mut self, conn: ConnId) {
         self.conns.get_mut(&conn.0).expect("unknown conn").closed = true;
     }
@@ -450,19 +384,12 @@ impl NetworkFabric {
             deliver_at = deliver_at.max(c.last_delivery[dir] + SimDuration::from_micros(1));
         }
         c.last_delivery[dir] = deliver_at;
-        // The conservative-lockstep contract (see `lookahead`): a frame
-        // handed over at `now` can never arrive sooner than one base
+        // A frame handed over at `now` never arrives sooner than one base
         // latency later.
         debug_assert!(
             deliver_at >= now + self.cfg.base_latency,
-            "delivery inside the lookahead window"
+            "delivery sooner than the base latency"
         );
-        let meta = ConnMeta {
-            transport,
-            a: c.a,
-            b: c.b,
-            ready_at,
-        };
 
         self.stats.frames_delivered += 1;
         simtrace::with_trace(ctx, |tr, at| {
@@ -500,7 +427,6 @@ impl NetworkFabric {
                 bytes,
                 payload,
                 sent_at: now,
-                meta,
             },
         );
         Some(deliver_at)
@@ -680,7 +606,7 @@ mod tests {
 
     #[test]
     fn runtime_conn_ids_are_opener_derived() {
-        // Before finish_build: sequential ids (replicated build ⇒ parity).
+        // Before finish_build: sequential ids.
         let mut net = NetworkFabric::new(FabricConfig::default(), 4);
         let a1 = ep(0, simcore::ActorId::from_index(3));
         let a2 = ep(1, simcore::ActorId::from_index(7));
@@ -689,60 +615,18 @@ mod tests {
         let c1 = net.open(SimTime::ZERO, Transport::Tcp, a2, b);
         assert_eq!((c0, c1), (ConnId(0), ConnId(1)));
 
-        // After finish_build: ids depend only on (opener actor, opener's
-        // own open count), never on global interleaving — so two shards
-        // opening in different orders still agree on every id.
+        // After finish_build: ids pack (runtime bit, opener's own open
+        // count, opener actor index), never the global open order.
         net.finish_build();
         let r0 = net.open(SimTime::ZERO, Transport::Tcp, a1, b);
         let r1 = net.open(SimTime::ZERO, Transport::Tcp, a2, b);
         let r2 = net.open(SimTime::ZERO, Transport::Tcp, a1, b);
-        let mut other = NetworkFabric::new(FabricConfig::default(), 4);
-        other.open(SimTime::ZERO, Transport::Tcp, a1, b);
-        other.open(SimTime::ZERO, Transport::Tcp, a2, b);
-        other.finish_build();
-        // Opposite interleaving on the "other shard".
-        let o1 = other.open(SimTime::ZERO, Transport::Tcp, a2, b);
-        let o0 = other.open(SimTime::ZERO, Transport::Tcp, a1, b);
-        let o2 = other.open(SimTime::ZERO, Transport::Tcp, a1, b);
-        assert_eq!((r0, r1, r2), (o0, o1, o2));
-        for id in [r0, r1, r2] {
-            assert_ne!(id.0 & RUNTIME_CONN_BIT, 0, "runtime bit set");
-        }
-        assert_ne!(r0, r2, "same opener, distinct opens");
-    }
-
-    #[test]
-    fn ensure_conn_is_idempotent() {
-        let mut src = NetworkFabric::new(FabricConfig::default(), 2);
-        let a = ep(0, simcore::ActorId::from_index(1));
-        let b = ep(1, simcore::ActorId::from_index(2));
-        let conn = net_open_runtime(&mut src, a, b);
-        let meta = src.conn_meta(conn);
-
-        // Receiver shard materializes the connection from the Delivery's
-        // sidecar; repeated frames are no-ops.
-        let mut dst = NetworkFabric::new(FabricConfig::default(), 2);
-        dst.ensure_conn(conn, meta);
-        dst.ensure_conn(conn, meta);
-        assert_eq!(dst.endpoints(conn), (a, b));
-        assert_eq!(dst.transport(conn), meta.transport);
-        let round_trip = dst.conn_meta(conn);
-        assert_eq!(round_trip.ready_at, meta.ready_at);
-        // A locally-known connection is never clobbered.
-        let pre = dst.conn_meta(conn);
-        dst.ensure_conn(
-            conn,
-            ConnMeta {
-                ready_at: meta.ready_at + SimDuration::from_secs(9),
-                ..meta
-            },
+        assert_eq!(r0, ConnId(RUNTIME_CONN_BIT | 3));
+        assert_eq!(r1, ConnId(RUNTIME_CONN_BIT | 7));
+        assert_eq!(
+            r2,
+            ConnId(RUNTIME_CONN_BIT | (1 << RUNTIME_CONN_COUNT_SHIFT) | 3)
         );
-        assert_eq!(dst.conn_meta(conn).ready_at, pre.ready_at);
-    }
-
-    fn net_open_runtime(net: &mut NetworkFabric, a: Endpoint, b: Endpoint) -> ConnId {
-        net.finish_build();
-        net.open(SimTime::ZERO, Transport::Tcp, a, b)
     }
 
     #[test]

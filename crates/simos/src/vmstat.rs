@@ -31,19 +31,9 @@ impl VmstatLog {
         Self::default()
     }
 
-    /// All samples, in time order.
+    /// All samples, in `(instant, node)` order.
     pub fn samples(&self) -> &[VmSample] {
         &self.samples
-    }
-
-    /// Merge per-shard logs. Each shard's vmstat replica samples only
-    /// its own nodes, so the union re-sorted by `(instant, node)` is
-    /// exactly the row set (and order) a serial sampler writes — node
-    /// order within one tick is ascending in both worlds.
-    pub fn merged(parts: impl IntoIterator<Item = VmstatLog>) -> VmstatLog {
-        let mut samples: Vec<VmSample> = parts.into_iter().flat_map(|p| p.samples).collect();
-        samples.sort_by_key(|s| (s.at, s.node.0));
-        VmstatLog { samples }
     }
 
     /// Samples for one node.
@@ -86,20 +76,18 @@ pub struct VmstatSampler {
 
 struct Tick;
 
-/// Synthetic metric-op lane for one node's vmstat gauges
-/// (`base | node id`). High bit set so it can never collide with a real
-/// actor lane (actor indices stay far below 2^31), and sorts after actor
-/// lanes at the same instant — gauge levels land before the snapshot.
-const NODE_GAUGE_LANE_BASE: u32 = 0x8000_0000;
-
 /// Synthetic metric-op lane for the sampler's snapshot mark. `u32::MAX`
 /// sorts after every other lane at the same instant, so the snapshot
-/// includes every same-instant counter/gauge update in the merged replay.
+/// includes every same-instant counter/gauge update in the end-of-run
+/// replay.
 const SAMPLE_LANE: u32 = u32::MAX;
 
 impl VmstatSampler {
     /// Sample the given nodes every `interval` (the paper used 1 s).
-    pub fn new(interval: SimDuration, nodes: Vec<NodeId>) -> Self {
+    /// Nodes are visited in ascending order, so the log stays in
+    /// `(instant, node)` order.
+    pub fn new(interval: SimDuration, mut nodes: Vec<NodeId>) -> Self {
+        nodes.sort_unstable_by_key(|n| n.0);
         let n = nodes.len();
         VmstatSampler {
             interval,
@@ -145,17 +133,8 @@ impl Actor for VmstatSampler {
             // Feed the metrics plane (no-op unless a registry is
             // registered): the CPU run-queue depth in time units is the
             // model's per-node queue-depth signal.
-            //
-            // The sampler is *replicated* under sharding, each replica
-            // holding only its shard's nodes, so ops must not ride the
-            // sampler's own lane: the per-lane seq would then count
-            // 3 × local-node-count ops per tick and diverge between
-            // layouts. Instead each node's gauges ride a synthetic
-            // per-node lane (a node is sampled by exactly one replica,
-            // so its lane's seq stream is layout-invariant).
-            telemetry::with_metrics(ctx, |m, at| {
+            telemetry::with_metrics(ctx, |m, _| {
                 let ix = node.0;
-                m.set_recorder(NODE_GAUGE_LANE_BASE | u32::from(ix), at);
                 m.set_gauge(
                     &format!("node{ix}.cpu_backlog_us"),
                     backlog.as_micros() as f64,
@@ -168,16 +147,12 @@ impl Actor for VmstatSampler {
         // Snapshot the metrics plane at the same instant (no-op unless a
         // registry is registered): one time-series row per counter/gauge.
         // Riding the existing tick keeps profiled runs free of extra
-        // kernel events. The snapshot mark rides its own dedicated lane
-        // (one op per tick → seq = tick index on every replica), so the
-        // replicated samplers' marks are *exact* duplicates that the
-        // merge collapses to one snapshot — and `SAMPLE_LANE` sorts
-        // after every other lane, so the snapshot sees all of the
-        // instant's updates. The end-to-end `probes_in_flight` gauge is NOT
-        // refreshed here: it needs the whole run's RTT records, which no
-        // single shard holds — the experiment driver derives its series
-        // from the merged collector and splices it in at these same
-        // sample instants (`MetricsRegistry::merged`).
+        // kernel events. The snapshot mark rides `SAMPLE_LANE`, which
+        // sorts after every other lane, so the replayed snapshot sees all
+        // of the instant's updates. The end-to-end `probes_in_flight`
+        // gauge is NOT refreshed here: the experiment driver derives its
+        // series from the finished RTT collector and splices it in at
+        // these same sample instants (`MetricsRegistry::replayed`).
         telemetry::with_metrics(ctx, |m, at| {
             m.set_recorder(SAMPLE_LANE, at);
             m.sample(at);

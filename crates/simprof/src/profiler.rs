@@ -71,28 +71,6 @@ impl Profiler {
         f.charges += 1;
     }
 
-    /// Merge per-shard profilers: every field is a pure sum (virtual
-    /// durations, hit/charge counts, frame stats keyed by path), so the
-    /// merge is exact and order-independent. Merged-of-one is the
-    /// identity.
-    pub fn merged(parts: impl IntoIterator<Item = Profiler>) -> Profiler {
-        let mut out = Profiler::new();
-        for p in parts {
-            debug_assert!(p.stack.is_empty(), "merge with open spans");
-            for i in 0..COMPONENT_COUNT {
-                out.self_time[i] += p.self_time[i];
-                out.hits[i] += p.hits[i];
-                out.charges[i] += p.charges[i];
-            }
-            for (path, stat) in p.frames {
-                let f = out.frames.entry(path).or_default();
-                f.time += stat.time;
-                f.charges += stat.charges;
-            }
-        }
-        out
-    }
-
     /// Total simulated time attributed so far (sum of all self times).
     pub fn total_attributed(&self) -> SimDuration {
         self.self_time
@@ -335,35 +313,6 @@ mod tests {
         assert_eq!(servlet.total_time, us(100), "includes nested insert frame");
         let table = r.table("t").render();
         assert!(table.contains("rgma.insert"), "{table}");
-    }
-
-    #[test]
-    fn merged_sums_components_and_frames() {
-        let mut a = Profiler::new();
-        a.enter(Component::NaradaRoute);
-        a.charge(Component::NaradaMatch, us(30));
-        a.exit(Component::NaradaRoute);
-        let mut b = Profiler::new();
-        b.enter(Component::NaradaRoute);
-        b.charge(Component::NaradaMatch, us(70));
-        b.exit(Component::NaradaRoute);
-        b.charge(Component::OsGc, us(5));
-        let m = Profiler::merged([a, b]);
-        assert_eq!(m.self_time(Component::NaradaMatch), us(100));
-        assert_eq!(m.self_time(Component::OsGc), us(5));
-        assert_eq!(m.hits_of(Component::NaradaRoute), 2);
-        let nested = m
-            .frames()
-            .get(&vec![Component::NaradaRoute, Component::NaradaMatch])
-            .unwrap();
-        assert_eq!(nested.time, us(100));
-        assert_eq!(nested.charges, 2);
-        // Merged-of-one is the identity.
-        let mut c = Profiler::new();
-        c.charge(Component::OsGc, us(9));
-        let one = Profiler::merged([c]);
-        assert_eq!(one.self_time(Component::OsGc), us(9));
-        assert_eq!(one.collapsed(), "simos.gc 9\n");
     }
 
     #[test]

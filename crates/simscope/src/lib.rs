@@ -118,20 +118,6 @@ impl WallScope {
     pub fn get(&self, site: Site) -> WallAccum {
         self.sites[site.index()]
     }
-
-    /// Merge per-shard scopes: wall-clock totals are pure sums. The
-    /// merged *counts* are deterministic at a fixed seed; the nanosecond
-    /// totals are wall-clock and therefore run-to-run noise by design
-    /// (the documented carve-out from byte-identity).
-    pub fn merged(parts: impl IntoIterator<Item = WallScope>) -> WallScope {
-        let mut out = WallScope::new();
-        for p in parts {
-            for (i, acc) in p.sites.into_iter().enumerate() {
-                out.sites[i].merge(acc);
-            }
-        }
-        out
-    }
 }
 
 /// Start a timing probe: returns `Some(Instant)` only if a [`WallScope`]
@@ -214,21 +200,6 @@ mod tests {
         let scope = sim.service::<WallScope>().unwrap();
         assert_eq!(scope.get(Site::JmsMatch).count, 3);
         assert_eq!(scope.get(Site::NetFabricSend).count, 0);
-    }
-
-    #[test]
-    fn merged_sums_counts_and_nanos() {
-        let mut a = WallScope::new();
-        a.record(Site::JmsMatch, 10);
-        a.record(Site::JmsMatch, 20);
-        let mut b = WallScope::new();
-        b.record(Site::JmsMatch, 5);
-        b.record(Site::OsExecute, 7);
-        let m = WallScope::merged([a, b]);
-        assert_eq!(m.get(Site::JmsMatch).count, 3);
-        assert_eq!(m.get(Site::JmsMatch).nanos, 35);
-        assert_eq!(m.get(Site::OsExecute).count, 1);
-        assert_eq!(m.get(Site::KernelDispatch).count, 0);
     }
 
     #[test]

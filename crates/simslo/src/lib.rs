@@ -11,21 +11,16 @@
 //! * [`SloCollector`] — the kernel service publish/delivery sites report
 //!   to. Like [`telemetry::RttCollector`] it stores only raw,
 //!   content-keyed records during the run; every derived statistic is a
-//!   pure function of the merged record set, so sharded runs summarize
-//!   to bit-identical reports.
+//!   pure function of the record set.
 //! * [`SloReport`] — Age-of-Information sawtooth samples on the vmstat
 //!   cadence, windowed delivery-latency percentiles, deadline-miss
 //!   counters, compliance, and windowed error-budget burn.
 //!
-//! ## Sharding model
+//! ## Record keys
 //!
-//! A publish is recorded on the shard that owns the publishing client;
-//! a delivery on the shard that owns the subscriber. Records are keyed
-//! by the content-derived [`telemetry::ProbeId`] (publish) and
-//! `(subscriber lane, probe)` (delivery) — never by event interleaving
-//! — so [`SloCollector::merged`] is a commutative keyed union and the
-//! canonical `extract_partial`/`merge_results` pipeline applies
-//! unchanged. The publish instant additionally rides **out-of-band** on
+//! Records are keyed by the content-derived [`telemetry::ProbeId`]
+//! (publish) and `(subscriber lane, probe)` (delivery) — never by event
+//! interleaving. The publish instant additionally rides **out-of-band** on
 //! the wire message (the way `simtrace` threads `TraceId` through
 //! `wire::Headers`, zero wire bytes); the report cross-checks the
 //! carried stamp against the publish record and counts disagreements —
@@ -96,13 +91,12 @@ struct DeliveryRec {
 }
 
 /// The freshness measurement service: publish and delivery sites report
-/// instants; the experiment merge computes the report at end of run.
+/// instants; the experiment driver computes the report at end of run.
 ///
-/// Raw records only — no derived state — so per-shard collectors union
-/// into exactly the collector a serial run would have built.
+/// Raw records only — no derived state.
 #[derive(Debug, Clone, Default)]
 pub struct SloCollector {
-    /// Keyed by probe id (content-derived, shard-invariant).
+    /// Keyed by probe id (content-derived, interleaving-invariant).
     publishes: BTreeMap<u64, PublishRec>,
     /// Keyed by `(subscriber lane, probe id)`: the same reading delivered
     /// to two subscribers is two records; a duplicate redelivery to the
@@ -155,35 +149,9 @@ impl SloCollector {
         self.deliveries.len() as u64
     }
 
-    /// Union per-shard collectors into the whole-run collector:
-    /// publishes first-wins by probe, deliveries keep the earliest
-    /// instant per `(subscriber, probe)`. Merged-of-one is the identity.
-    pub fn merged(parts: impl IntoIterator<Item = SloCollector>) -> SloCollector {
-        let mut out = SloCollector::new();
-        for part in parts {
-            for (id, rec) in part.publishes {
-                let e = out.publishes.entry(id).or_insert_with(|| rec.clone());
-                if rec.at < e.at {
-                    *e = rec;
-                }
-            }
-            for (key, rec) in part.deliveries {
-                let e = out.deliveries.entry(key).or_insert(rec);
-                if rec.at < e.at {
-                    *e = rec;
-                }
-            }
-        }
-        out
-    }
-
     /// Windowed delivery-latency histograms: delivery ages (µs) bucketed
     /// by the delivery-time window `floor(delivered_at / window)`.
-    /// Windows built from per-shard collectors and merged window-wise
-    /// with [`LatencyHistogram::merge`] equal the serial windows — each
-    /// delivery record lives on exactly one shard. Deliveries whose
-    /// publish half sits on another shard are skipped until the merge
-    /// restores it.
+    /// Deliveries without a publish record are skipped.
     pub fn windowed_histograms(&self, window: SimDuration) -> BTreeMap<u64, LatencyHistogram> {
         let w = window.as_micros().max(1);
         let mut out: BTreeMap<u64, LatencyHistogram> = BTreeMap::new();
@@ -198,8 +166,7 @@ impl SloCollector {
     }
 
     /// Compute the end-of-run report. A pure function of the record set
-    /// (iteration in key order, no clocks, no RNG): merged shard
-    /// collectors produce bit-identical reports.
+    /// (iteration in key order, no clocks, no RNG).
     ///
     /// `horizon` bounds the sawtooth sampling (use the run's final
     /// virtual time); `cadence` is the sample period
@@ -610,7 +577,6 @@ pub fn with_slo(ctx: &mut Context<'_>, f: impl FnOnce(&mut SloCollector, SimTime
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -821,97 +787,5 @@ mod tests {
         assert_eq!(r.aoi.len(), 1);
         assert_eq!(r.aoi[0].pairs, 0);
         assert!(r.windows.is_empty());
-    }
-
-    /// Reference partitioning property: splitting the records across k
-    /// collectors (publish half and delivery half on *different*
-    /// collectors) and merging reproduces the serial report bit for bit,
-    /// and the windowed histograms merge window-wise to the serial ones.
-    fn split_merge_case(k: usize, events: &[(u32, u32, u64, u64, bool)]) {
-        let spec = SloSpec::new(SimDuration::from_millis(250), 0.9);
-        let mut serial = SloCollector::new();
-        let mut parts: Vec<SloCollector> = (0..k).map(|_| SloCollector::new()).collect();
-        for (i, &(lane, seq, pub_ms, age_ms, delivered)) in events.iter().enumerate() {
-            let p = probe(lane, seq);
-            let topic = format!("topic{}", lane % 3);
-            serial.record_publish(p, &topic, t(pub_ms));
-            parts[i % k].record_publish(p, &topic, t(pub_ms));
-            if delivered {
-                let sub = (lane % 2) + 100;
-                serial.record_delivery(p, sub, t(pub_ms + age_ms), Some(t(pub_ms)));
-                // Delivery recorded on a *different* shard than the publish.
-                parts[(i + 1) % k].record_delivery(p, sub, t(pub_ms + age_ms), Some(t(pub_ms)));
-            }
-        }
-        let merged = SloCollector::merged(parts.clone());
-        let horizon = t(30_000);
-        let cadence = SimDuration::from_secs(1);
-        let sr = serial.report(&spec, horizon, cadence, DEFAULT_WINDOW);
-        let mr = merged.report(&spec, horizon, cadence, DEFAULT_WINDOW);
-        assert_eq!(sr, mr, "merged report equals serial");
-        // Window-wise histogram merge equals the serial windows.
-        let swin = serial.windowed_histograms(DEFAULT_WINDOW);
-        let mut merged_win: BTreeMap<u64, LatencyHistogram> = BTreeMap::new();
-        for part in &parts {
-            // Per-shard windows see only locally-complete records; give
-            // each part the publish map so the property isolates the
-            // *window merge* (the pipeline merges collectors first).
-            let mut with_pubs = part.clone();
-            with_pubs.publishes = merged.publishes.clone();
-            for (w, h) in with_pubs.windowed_histograms(DEFAULT_WINDOW) {
-                merged_win.entry(w).or_default().merge(&h);
-            }
-        }
-        assert_eq!(swin.len(), merged_win.len());
-        for (w, h) in &swin {
-            let m = &merged_win[w];
-            assert_eq!(h.count(), m.count());
-            // Bucketed quantiles are exactly order-invariant; the exact
-            // Welford moments merge associatively (equal up to float
-            // round-off, not bit order).
-            for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-                assert_eq!(h.quantile(q), m.quantile(q), "window {w} q{q}");
-            }
-            assert!((h.mean() - m.mean()).abs() <= 1e-6 * h.mean().abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn merge_reassembles_split_records() {
-        let events: Vec<(u32, u32, u64, u64, bool)> = (0..40u32)
-            .map(|i| {
-                (
-                    i % 4,
-                    i / 4,
-                    u64::from(i) * 700,
-                    u64::from(i % 7) * 90,
-                    i % 5 != 0,
-                )
-            })
-            .collect();
-        for k in [2usize, 4] {
-            split_merge_case(k, &events);
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn windowed_merges_equal_serial_windows(
-            events in proptest::collection::vec(
-                (0u32..6, 0u32..64, 0u64..25_000, 0u64..2_000, any::<bool>()),
-                1..80,
-            ),
-            k in prop_oneof![Just(2usize), Just(4)],
-        ) {
-            // Dedup (lane, seq) so each probe publishes once.
-            let mut seen = std::collections::HashSet::new();
-            let events: Vec<_> = events
-                .into_iter()
-                .filter(|e| seen.insert((e.0, e.1)))
-                .collect();
-            split_merge_case(k, &events);
-        }
     }
 }

@@ -1,23 +1,19 @@
 //! The trace collector kernel service.
 //!
-//! Sharding model: every shard owns one collector recording only what
-//! executes locally. Each record is keyed `(time, recorder lane,
-//! per-lane seq)` — interleaving-invariant, because a lane's record
-//! stream is a function of that actor's own deterministic execution —
-//! and [`TraceCollector::merged`] re-sorts the union of per-shard
-//! stores by that key. Counters merge by element-wise sum (each bump
-//! happens on exactly one shard), gauges by replaying a keyed op log
-//! (a gauge like the NIC backlog has many writers spread across
-//! shards), and counter samples by summing the per-shard snapshots the
-//! replicated sampler takes at identical instants. The ring bound is
-//! applied at merge time (`evicted` counts what the trim discarded),
-//! so the retained window is a function of the merged key order, never
-//! of which shard recorded an event.
+//! Each record is keyed `(time, recorder lane, per-lane seq)` —
+//! interleaving-invariant, because a lane's record stream is a function
+//! of that actor's own deterministic execution — and
+//! [`TraceCollector::finish`] sorts the store by that key. Gauges (the
+//! NIC backlog has many writers) are rebuilt by replaying a keyed op log
+//! in the same order, so every counter sample sees the gauge levels of
+//! all same-instant ops with a lower key. The ring bound is applied at
+//! finish time (`evicted` counts what the trim discarded), so the
+//! retained window is a function of the key order.
 
 use crate::event::{Counter, EventKind, Gauge, TraceEvent, TraceId, COUNTER_COUNT, GAUGE_COUNT};
 use crate::sampler::CounterSample;
 use simcore::{Context, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Default ring capacity: enough for every event of the scaled
 /// experiment suite while bounding the exported artifact to a few MB of
@@ -59,13 +55,13 @@ impl GaugeOp {
 
 /// Event sink plus live counters, registered as a kernel service. The
 /// store is unbounded during the run; the capacity bound is enforced by
-/// [`merged`](TraceCollector::merged), which every run (any shard
-/// count) goes through before exporting.
+/// [`finish`](TraceCollector::finish), which every run goes through
+/// before exporting.
 pub struct TraceCollector {
     /// `(lane, seq, event)` in recording order.
     events: Vec<(u32, u64, TraceEvent)>,
     capacity: usize,
-    /// Events discarded by the merge-time capacity trim.
+    /// Events discarded by the finish-time capacity trim.
     evicted: u64,
     counters: [u64; COUNTER_COUNT],
     gauges: [u64; GAUGE_COUNT],
@@ -100,7 +96,7 @@ impl TraceCollector {
 
     /// Set the recording context for subsequent records; called by
     /// [`with_trace`] with the acting actor's lane and the kernel clock
-    /// so record keys are shard-invariant.
+    /// so record keys are interleaving-invariant.
     pub fn set_recorder(&mut self, lane: u32, at: SimTime) {
         self.cur_lane = lane;
         self.cur_at = at;
@@ -129,9 +125,7 @@ impl TraceCollector {
         ));
     }
 
-    /// Bump a counter. Sums across shards at merge: call only from
-    /// actors that run on exactly one shard (replicated actors must
-    /// gate on `ctx.accounting_primary()` themselves).
+    /// Bump a counter.
     #[inline]
     pub fn count(&mut self, c: Counter, delta: u64) {
         self.counters[c as usize] += delta;
@@ -207,81 +201,37 @@ impl TraceCollector {
     }
 
     /// Events evicted by the capacity bound (0 means the trace is
-    /// complete). Set by [`merged`](Self::merged).
+    /// complete). Set by [`finish`](Self::finish).
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
 
-    /// Merge per-shard collectors into the canonical whole-run trace.
+    /// Put the store into its canonical end-of-run form:
     ///
-    /// * events: union re-sorted by `(time, lane, seq)`, then trimmed to
-    ///   the capacity bound keeping the newest (the serial ring's
-    ///   behavior, now defined on the canonical order);
-    /// * counters: element-wise sum;
-    /// * gauges: keyed op-log replay (exact duplicate ops from
-    ///   replicated recorders collapse to one);
-    /// * samples: per-instant element-wise sum of counter snapshots,
-    ///   with gauge levels recomputed from the op log at each instant.
-    ///
-    /// Every run goes through this — a serial run is merged-of-one — so
-    /// exports are byte-identical across shard counts by construction.
-    pub fn merged(parts: impl IntoIterator<Item = TraceCollector>) -> TraceCollector {
-        let mut capacity = 1;
-        let mut events: Vec<(u32, u64, TraceEvent)> = Vec::new();
-        let mut counters = [0u64; COUNTER_COUNT];
-        let mut gauge_ops: Vec<GaugeOp> = Vec::new();
-        let mut sample_sums: BTreeMap<SimTime, [u64; COUNTER_COUNT]> = BTreeMap::new();
-        for part in parts {
-            capacity = capacity.max(part.capacity);
-            events.extend(part.events);
-            for (i, v) in part.counters.iter().enumerate() {
-                counters[i] += v;
-            }
-            gauge_ops.extend(part.gauge_ops);
-            for s in part.samples {
-                let sums = sample_sums.entry(s.at).or_insert([0; COUNTER_COUNT]);
-                for (i, v) in s.counters.iter().enumerate() {
-                    sums[i] += v;
-                }
-            }
-        }
-        events.sort_by_key(|(lane, seq, ev)| (ev.at, *lane, *seq));
-        let evicted = events.len().saturating_sub(capacity) as u64;
-        events.drain(..evicted as usize);
-        gauge_ops.sort_by_key(|op| op.key());
-        gauge_ops.dedup_by_key(|op| op.key());
-        // Rebuild samples: counters are the summed snapshots; gauges are
-        // the op log replayed up to each instant.
-        let mut samples = Vec::with_capacity(sample_sums.len());
+    /// * events: sorted by `(time, lane, seq)`, then trimmed to the
+    ///   capacity bound keeping the newest;
+    /// * gauges: the op log replayed in key order, both at every counter
+    ///   sample instant and for the final levels.
+    pub fn finish(&mut self) {
+        self.events
+            .sort_by_key(|(lane, seq, ev)| (ev.at, *lane, *seq));
+        let evicted = self.events.len().saturating_sub(self.capacity);
+        self.events.drain(..evicted);
+        self.evicted += evicted as u64;
+        self.gauge_ops.sort_by_key(GaugeOp::key);
         let mut gauges = [0u64; GAUGE_COUNT];
         let mut cursor = 0usize;
-        for (at, sums) in sample_sums {
-            while cursor < gauge_ops.len() && gauge_ops[cursor].at <= at {
-                gauge_ops[cursor].apply(&mut gauges);
+        for sample in &mut self.samples {
+            while cursor < self.gauge_ops.len() && self.gauge_ops[cursor].at <= sample.at {
+                self.gauge_ops[cursor].apply(&mut gauges);
                 cursor += 1;
             }
-            samples.push(CounterSample {
-                at,
-                counters: sums,
-                gauges,
-            });
+            sample.gauges = gauges;
         }
-        let mut final_gauges = gauges;
-        for op in &gauge_ops[cursor..] {
-            op.apply(&mut final_gauges);
+        for op in &self.gauge_ops[cursor..] {
+            op.apply(&mut gauges);
         }
-        TraceCollector {
-            events,
-            capacity,
-            evicted,
-            counters,
-            gauges: final_gauges,
-            samples,
-            gauge_ops,
-            cur_lane: 0,
-            cur_at: SimTime::ZERO,
-            lane_seqs: HashMap::new(),
-        }
+        self.gauges = gauges;
     }
 }
 
@@ -296,7 +246,7 @@ impl Default for TraceCollector {
 /// tracing is off the service is simply absent and the cost is one
 /// type-map probe — no allocation, no event, no branch on message data.
 /// Sets the recorder context (acting actor's lane, kernel clock) so
-/// records carry shard-invariant keys.
+/// records carry interleaving-invariant keys.
 #[inline]
 pub fn with_trace(ctx: &mut Context<'_>, f: impl FnOnce(&mut TraceCollector, SimTime)) {
     let now = ctx.now();
@@ -328,10 +278,10 @@ mod tests {
             c.record(at, t, a, k);
         }
         assert_eq!(c.len(), 5, "live store is unbounded");
-        let m = TraceCollector::merged([c]);
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.evicted(), 2);
-        let ids: Vec<u64> = m.events().map(|e| e.trace.unwrap().0).collect();
+        c.finish();
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.evicted(), 2);
+        let ids: Vec<u64> = c.events().map(|e| e.trace.unwrap().0).collect();
         assert_eq!(ids, vec![2, 3, 4], "oldest first, newest retained");
     }
 
@@ -352,34 +302,34 @@ mod tests {
     }
 
     #[test]
-    fn merged_interleaves_shards_and_replays_gauges() {
-        // Shard A: lane 1 records at t=1,3; bumps a counter; moves a
-        // gauge. Shard B: lane 2 records at t=2; the replicated sampler
-        // snapshots on both shards at t=5.
+    fn finish_sorts_by_key_and_replays_gauges() {
+        // Lane 2 executes before lane 1 at t=1; the sampler snapshots at
+        // t=1 before lane 1's gauge update of the same instant.
         let t = SimTime::from_micros;
-        let mut a = TraceCollector::new();
-        a.set_recorder(1, t(1));
-        a.record(t(1), Some(TraceId(10)), 1, EventKind::PublishBegin);
-        a.count(Counter::BrokerPublishes, 2);
-        a.gauge_add(Gauge::NicBacklogUs, 7);
-        a.set_recorder(1, t(3));
-        a.record(t(3), Some(TraceId(11)), 1, EventKind::PublishEnd);
-        a.sample(t(5));
-        let mut b = TraceCollector::new();
-        b.set_recorder(2, t(2));
-        b.record(t(2), Some(TraceId(20)), 2, EventKind::Available);
-        b.count(Counter::BrokerPublishes, 1);
-        b.gauge_add(Gauge::NicBacklogUs, -3);
-        b.sample(t(5));
+        let mut c = TraceCollector::new();
+        c.set_recorder(2, t(1));
+        c.record(t(1), Some(TraceId(20)), 2, EventKind::Available);
+        c.gauge_add(Gauge::NicBacklogUs, -3);
+        c.sample(t(1));
+        c.set_recorder(1, t(1));
+        c.record(t(1), Some(TraceId(10)), 1, EventKind::PublishBegin);
+        c.gauge_add(Gauge::NicBacklogUs, 7);
+        c.count(Counter::BrokerPublishes, 2);
+        c.set_recorder(1, t(3));
+        c.record(t(3), Some(TraceId(11)), 1, EventKind::PublishEnd);
+        assert_eq!(
+            c.gauge(Gauge::NicBacklogUs),
+            7,
+            "live: saturated at 0, then +7"
+        );
 
-        let m = TraceCollector::merged([a, b]);
-        let order: Vec<u64> = m.events().map(|e| e.trace.unwrap().0).collect();
+        c.finish();
+        let order: Vec<u64> = c.events().map(|e| e.trace.unwrap().0).collect();
         assert_eq!(order, vec![10, 20, 11], "canonical (at, lane, seq) order");
-        assert_eq!(m.counter(Counter::BrokerPublishes), 3);
-        assert_eq!(m.gauge(Gauge::NicBacklogUs), 4, "7 then -3 in key order");
-        assert_eq!(m.samples().len(), 1, "same-instant snapshots fuse");
-        assert_eq!(m.samples()[0].counter(Counter::BrokerPublishes), 3);
-        assert_eq!(m.samples()[0].gauge(Gauge::NicBacklogUs), 4);
+        assert_eq!(c.counter(Counter::BrokerPublishes), 2);
+        assert_eq!(c.gauge(Gauge::NicBacklogUs), 4, "7 then -3 in key order");
+        assert_eq!(c.samples().len(), 1);
+        assert_eq!(c.samples()[0].gauge(Gauge::NicBacklogUs), 4);
     }
 
     #[test]

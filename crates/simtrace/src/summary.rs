@@ -230,9 +230,9 @@ mod tests {
         let mut c = TraceCollector::with_capacity(1);
         c.record(t(1), Some(TraceId(0)), 0, EventKind::PublishBegin);
         c.record(t(2), Some(TraceId(1)), 0, EventKind::PublishBegin);
-        // The capacity bound is applied by the merge every run goes
+        // The capacity bound is applied by the finish every run goes
         // through; the live store is unbounded.
-        let c = TraceCollector::merged([c]);
+        c.finish();
         let s = TraceSummary::from_collector(&c);
         assert_eq!(s.evicted_events, 1);
         assert_eq!(s.check_probe(TraceId(0), t(1), None, None, None), None);

@@ -17,8 +17,8 @@ use crate::report::trim_float;
 use simcore::{Context, SimTime};
 use std::collections::BTreeMap;
 
-/// One recorded mutation of the registry, replayable at merge time.
-#[derive(Debug, Clone, PartialEq)]
+/// One recorded mutation of the registry, replayable at end of run.
+#[derive(Debug, Clone)]
 enum MetricOp {
     /// `add_counter(name, delta)`.
     CounterAdd(String, u64),
@@ -28,21 +28,6 @@ enum MetricOp {
     Observe(String, u64),
     /// `sample(at)` — snapshot the live maps into the series.
     Sample,
-}
-
-impl MetricOp {
-    /// Total order among ops sharing a (time, lane, seq) key — only
-    /// replicated recorders produce such ties, and only when their
-    /// replicas record *different* content (e.g. each shard's vmstat
-    /// replica gauging its own nodes).
-    fn content_key(&self) -> (u8, &str, u64) {
-        match self {
-            MetricOp::CounterAdd(n, v) => (0, n, *v),
-            MetricOp::GaugeSet(n, v) => (1, n, v.to_bits()),
-            MetricOp::Observe(n, v) => (2, n, *v),
-            MetricOp::Sample => (3, "", 0),
-        }
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -62,9 +47,9 @@ struct OpRec {
 /// Every mutation is also appended to an op log keyed by
 /// `(time, recorder lane, per-lane seq)` — an interleaving-invariant key,
 /// since each lane's op stream is a function of that actor's own
-/// deterministic execution. [`merged`](Self::merged) replays the union of
-/// per-shard logs in key order, so any sharding of the same run rebuilds
-/// byte-identical counters, gauges, histograms, and time series.
+/// deterministic execution. [`replayed`](Self::replayed) rebuilds the
+/// registry from the log in key order, so a snapshot sees every update
+/// of its instant from a lower lane, whatever order they executed in.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
@@ -86,7 +71,7 @@ impl MetricsRegistry {
 
     /// Set the recording context for subsequent ops; called by
     /// [`with_metrics`] with the acting actor's lane and the kernel
-    /// clock so op keys are shard-invariant.
+    /// clock so op keys are interleaving-invariant.
     pub fn set_recorder(&mut self, lane: u32, at: SimTime) {
         self.cur_lane = lane;
         self.cur_at = at;
@@ -178,35 +163,24 @@ impl MetricsRegistry {
         self.record(at, MetricOp::Sample);
     }
 
-    /// Merge per-shard registries by replaying the union of their op
-    /// logs in `(time, lane, seq, content)` order. Exact duplicates
-    /// (the same op recorded by two replicas of a replicated actor, e.g.
-    /// the per-shard vmstat samplers' `Sample` marks) collapse to one.
+    /// Rebuild the registry by replaying its op log in
+    /// `(time, lane, seq)` order: the canonical end-of-run state. The
+    /// result's own op log is empty.
     ///
-    /// `derived_gauges` are whole-run gauges that no single shard can
-    /// compute (e.g. `probes_in_flight`, which needs the merged RTT
-    /// record set): each is a time-ordered series spliced in just before
-    /// every `Sample` snapshot, exactly where the serial sampler used to
-    /// refresh them. Names are owned because some series are minted per
+    /// `derived_gauges` are whole-run gauges computed after the run
+    /// (e.g. `probes_in_flight`, which needs every RTT record): each is a
+    /// time-ordered series spliced in just before every `Sample`
+    /// snapshot. Names are owned because some series are minted per
     /// subscriber lane (`freshness_age_ms/lane3`) rather than static.
-    pub fn merged(
-        parts: impl IntoIterator<Item = MetricsRegistry>,
-        derived_gauges: &[(String, Vec<(SimTime, f64)>)],
-    ) -> MetricsRegistry {
-        let mut ops: Vec<OpRec> = parts.into_iter().flat_map(|p| p.ops).collect();
-        ops.sort_by(|a, b| {
-            (a.at, a.lane, a.seq)
-                .cmp(&(b.at, b.lane, b.seq))
-                .then_with(|| a.op.content_key().cmp(&b.op.content_key()))
-        });
-        ops.dedup_by(|a, b| a.at == b.at && a.lane == b.lane && a.seq == b.seq && a.op == b.op);
+    pub fn replayed(mut self, derived_gauges: &[(String, Vec<(SimTime, f64)>)]) -> MetricsRegistry {
+        self.ops.sort_by_key(|r| (r.at, r.lane, r.seq));
         let mut out = MetricsRegistry::new();
         let mut cursors = vec![0usize; derived_gauges.len()];
-        for rec in ops {
-            match &rec.op {
-                MetricOp::CounterAdd(n, d) => out.apply_counter(n, *d),
-                MetricOp::GaugeSet(n, v) => out.apply_gauge(n, *v),
-                MetricOp::Observe(n, us) => out.apply_observe(n, *us),
+        for rec in self.ops {
+            match rec.op {
+                MetricOp::CounterAdd(n, d) => out.apply_counter(&n, d),
+                MetricOp::GaugeSet(n, v) => out.apply_gauge(&n, v),
+                MetricOp::Observe(n, us) => out.apply_observe(&n, us),
                 MetricOp::Sample => {
                     for (i, (name, points)) in derived_gauges.iter().enumerate() {
                         while cursors[i] < points.len() && points[cursors[i]].0 <= rec.at {
@@ -217,7 +191,6 @@ impl MetricsRegistry {
                     out.apply_sample(rec.at);
                 }
             }
-            out.ops.push(rec);
         }
         // Late derived points (after the final snapshot) still set the
         // end-of-run gauge level for the Prometheus export.
@@ -346,63 +319,37 @@ mod tests {
     }
 
     #[test]
-    fn merged_replay_matches_serial_and_splices_derived_gauges() {
+    fn replay_orders_same_instant_ops_by_lane_and_splices_derived_gauges() {
         let t = SimTime::from_secs;
-        // Serial world: lanes 2 and 5 both write; sampler (lane 9) marks
-        // snapshots at 1 s and 2 s.
-        let serial_ops = |m: &mut MetricsRegistry| {
-            m.set_recorder(2, t(0));
-            m.add_counter("a.sent", 1);
-            m.set_recorder(5, t(0));
-            m.add_counter("b.sent", 2);
-            m.set_recorder(9, t(1));
-            m.sample(t(1));
-            m.set_recorder(2, t(1));
-            m.add_counter("a.sent", 4);
-            m.observe("a.cost_us", 300);
-            m.set_recorder(9, t(2));
-            m.sample(t(2));
-        };
-        let mut serial = MetricsRegistry::new();
-        serial_ops(&mut serial);
-
-        // Sharded world: lane 2 on shard A, lane 5 on shard B, the
-        // sampler replicated on both (identical Sample ops → dedup).
-        let mut a = MetricsRegistry::new();
-        a.set_recorder(2, t(0));
-        a.add_counter("a.sent", 1);
-        a.set_recorder(9, t(1));
-        a.sample(t(1));
-        a.set_recorder(2, t(1));
-        a.add_counter("a.sent", 4);
-        a.observe("a.cost_us", 300);
-        a.set_recorder(9, t(2));
-        a.sample(t(2));
-        let mut b = MetricsRegistry::new();
-        b.set_recorder(5, t(0));
-        b.add_counter("b.sent", 2);
-        b.set_recorder(9, t(1));
-        b.sample(t(1));
-        b.set_recorder(9, t(2));
-        b.sample(t(2));
+        let mut m = MetricsRegistry::new();
+        m.set_recorder(2, t(0));
+        m.add_counter("a.sent", 1);
+        m.set_recorder(5, t(0));
+        m.add_counter("b.sent", 2);
+        // The sampler (lane 9) snapshots at 1 s before lane 2's update of
+        // the same instant executes; the replay puts lane 2 first.
+        m.set_recorder(9, t(1));
+        m.sample(t(1));
+        m.set_recorder(2, t(1));
+        m.add_counter("a.sent", 4);
+        m.observe("a.cost_us", 300);
+        m.set_recorder(9, t(2));
+        m.sample(t(2));
+        assert!(m.csv().contains("1,a.sent,1\n"), "{}", m.csv());
 
         let derived = [(
             "probes_in_flight".to_string(),
             vec![(t(1), 3.0), (t(2), 0.0)],
         )];
-        let merged = MetricsRegistry::merged([a, b], &derived);
-        let reference = MetricsRegistry::merged([serial], &derived);
-        assert_eq!(merged.csv(), reference.csv(), "byte-identical series");
-        assert_eq!(merged.prometheus(), reference.prometheus());
-        assert_eq!(merged.counter("a.sent"), 5);
-        assert_eq!(merged.counter("b.sent"), 2);
-        assert_eq!(merged.gauge("probes_in_flight"), Some(0.0));
-        assert!(
-            merged.csv().contains("1,probes_in_flight,3"),
-            "{}",
-            merged.csv()
-        );
-        assert_eq!(merged.histogram("a.cost_us").unwrap().count(), 1);
+        let r = m.replayed(&derived);
+        let csv = r.csv();
+        assert!(csv.contains("1,a.sent,5\n"), "{csv}");
+        assert!(csv.contains("1,probes_in_flight,3\n"), "{csv}");
+        assert!(csv.contains("2,probes_in_flight,0\n"), "{csv}");
+        assert_eq!(r.counter("a.sent"), 5);
+        assert_eq!(r.counter("b.sent"), 2);
+        assert_eq!(r.gauge("probes_in_flight"), Some(0.0));
+        assert_eq!(r.histogram("a.cost_us").unwrap().count(), 1);
     }
 
     #[test]

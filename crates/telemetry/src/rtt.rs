@@ -22,9 +22,9 @@ use std::collections::{BTreeMap, HashMap};
 ///
 /// The id is content-derived, not allocation-order-derived: the high 32
 /// bits are the publisher's kernel lane (its actor index) and the low 32
-/// bits a per-publisher sequence number. Two shards therefore never mint
-/// the same id, and a probe's id is identical no matter how the run is
-/// sharded — which is what lets per-shard collectors merge by key.
+/// bits a per-publisher sequence number. A probe's id therefore does not
+/// depend on how publishers interleave, and iteration in id order is
+/// stable across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ProbeId(pub u64);
 
@@ -37,18 +37,16 @@ impl ProbeId {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Record {
-    // All four instants are optional: a shard that only hosts the
-    // subscriber has a partial record (receive side only) until the
-    // end-of-run merge unions it with the publisher shard's half.
+    // All four instants are optional: a lost message never gets its
+    // receive half.
     before_sending: Option<SimTime>,
     after_sending: Option<SimTime>,
     before_receiving: Option<SimTime>,
     after_receiving: Option<SimTime>,
 }
 
-/// Keep the earliest instant. Within one shard calls arrive in time
-/// order so this is plain first-wins idempotence (duplicate deliveries
-/// keep the first); across shards it makes the merge commutative.
+/// Keep the earliest instant. Calls arrive in time order, so this is
+/// plain first-wins idempotence (duplicate deliveries keep the first).
 fn keep_min(slot: &mut Option<SimTime>, now: SimTime) {
     match slot {
         Some(t) if *t <= now => {}
@@ -140,10 +138,9 @@ impl Conservation {
 ///
 /// Raw instants are the only thing stored during the run. All derived
 /// statistics (Welford moments, the latency histogram) are computed by
-/// [`summary`](Self::summary) from the record map in probe-id order, so a
-/// merged collector and a serial one produce bit-identical summaries —
-/// the accumulation order is a function of the *keys*, never of the
-/// event interleaving that produced the records.
+/// [`summary`](Self::summary) from the record map in probe-id order — the
+/// accumulation order is a function of the *keys*, never of the event
+/// interleaving that produced the records.
 pub struct RttCollector {
     records: BTreeMap<u64, Record>,
     lane_seqs: HashMap<u32, u32>,
@@ -166,7 +163,7 @@ impl RttCollector {
 
     /// The application is about to send; returns the probe handle.
     /// `lane` is the publishing actor's kernel lane (actor index) — it
-    /// keys the id so probe identities are shard-invariant.
+    /// keys the id so probe identities are interleaving-invariant.
     pub fn before_sending(&mut self, lane: u32, now: SimTime) -> ProbeId {
         let seq = self.lane_seqs.entry(lane).or_insert(0);
         let id = ProbeId::compose(lane, *seq);
@@ -187,8 +184,7 @@ impl RttCollector {
 
     /// The middleware made the message available to the subscriber.
     /// Idempotent: with redelivery (UDP retransmit) the first instant
-    /// wins. On a shard that does not host the publisher this creates a
-    /// partial record, completed by the end-of-run [`merged`](Self::merged).
+    /// wins.
     pub fn before_receiving(&mut self, id: ProbeId, now: SimTime) {
         keep_min(
             &mut self.records.entry(id.0).or_default().before_receiving,
@@ -205,40 +201,7 @@ impl RttCollector {
         );
     }
 
-    /// Union per-shard collectors into the whole-run collector. Records
-    /// merge field-wise keeping the earliest instant per phase, so the
-    /// publisher shard's send half and the subscriber shard's receive
-    /// half combine into the record a serial run would have written.
-    /// Merged-of-one is the identity.
-    pub fn merged(parts: impl IntoIterator<Item = RttCollector>) -> RttCollector {
-        let mut out = RttCollector::new();
-        for part in parts {
-            for (id, r) in part.records {
-                let dst = out.records.entry(id).or_default();
-                if let Some(t) = r.before_sending {
-                    keep_min(&mut dst.before_sending, t);
-                }
-                if let Some(t) = r.after_sending {
-                    keep_min(&mut dst.after_sending, t);
-                }
-                if let Some(t) = r.before_receiving {
-                    keep_min(&mut dst.before_receiving, t);
-                }
-                if let Some(t) = r.after_receiving {
-                    keep_min(&mut dst.after_receiving, t);
-                }
-            }
-            for (lane, seq) in part.lane_seqs {
-                let s = out.lane_seqs.entry(lane).or_insert(0);
-                *s = (*s).max(seq);
-            }
-        }
-        out
-    }
-
-    /// Messages sent so far (records with a publish instant; partial
-    /// receive-side records on a subscriber shard don't count until the
-    /// merge restores their send half).
+    /// Messages sent so far (records with a publish instant).
     pub fn sent(&self) -> u64 {
         self.records
             .values()
@@ -288,9 +251,7 @@ impl RttCollector {
     }
 
     /// Summarize at end of experiment. Statistics accumulate in probe-id
-    /// order — a pure function of the record map — so any partition of
-    /// the same run summarizes, after [`merged`](Self::merged), to
-    /// bit-identical floats.
+    /// order — a pure function of the record map.
     pub fn summary(&self) -> RttSummary {
         let mut rtt = Welford::new();
         let mut prt = Welford::new();
@@ -368,43 +329,20 @@ mod tests {
     }
 
     #[test]
-    fn probe_ids_are_lane_keyed_and_merge_reassembles_split_records() {
-        // Serial reference: two publishers (lanes 3 and 9) interleaved.
-        let mut serial = RttCollector::new();
-        // Sharded: publishers live on shard A, the subscriber on shard B —
-        // each record is split into its send half and receive half.
-        let mut send_side = RttCollector::new();
-        let mut recv_side = RttCollector::new();
+    fn probe_ids_are_lane_keyed() {
+        // Two publishers (lanes 3 and 9) interleaved: each mints its own
+        // sequence, and iteration follows the ids, not the call order.
+        let mut c = RttCollector::new();
         for i in 0..20u64 {
             let lane = if i % 2 == 0 { 3 } else { 9 };
-            let sid = serial.before_sending(lane, t(i));
-            let aid = send_side.before_sending(lane, t(i));
-            assert_eq!(sid, aid, "content-derived ids agree across worlds");
-            assert_eq!(sid, ProbeId::compose(lane, (i / 2) as u32));
-            serial.after_sending(sid, t(i + 1));
-            send_side.after_sending(aid, t(i + 1));
-            if i % 5 != 0 {
-                serial.before_receiving(sid, t(i + 4));
-                serial.after_receiving(sid, t(i + 6));
-                recv_side.before_receiving(aid, t(i + 4));
-                recv_side.after_receiving(aid, t(i + 6));
-            }
+            let id = c.before_sending(lane, t(i));
+            assert_eq!(id, ProbeId::compose(lane, (i / 2) as u32));
         }
-        let merged = RttCollector::merged([send_side, recv_side]);
-        let (m, s) = (merged.summary(), serial.summary());
-        assert_eq!((m.sent, m.received), (s.sent, s.received));
-        assert_eq!(m.rtt_mean_ms.to_bits(), s.rtt_mean_ms.to_bits());
-        assert_eq!(m.rtt_stddev_ms.to_bits(), s.rtt_stddev_ms.to_bits());
-        assert_eq!(m.pt_mean_ms.to_bits(), s.pt_mean_ms.to_bits());
-        assert_eq!(m.percentiles_ms, s.percentiles_ms);
-        assert_eq!(
-            merged.probe_ids().collect::<Vec<_>>(),
-            serial.probe_ids().collect::<Vec<_>>()
-        );
-        // Merged-of-one is the identity.
-        let once = RttCollector::merged([serial]);
-        let o = once.summary();
-        assert_eq!(o.rtt_mean_ms.to_bits(), s.rtt_mean_ms.to_bits());
+        let ids: Vec<ProbeId> = c.probe_ids().collect();
+        assert_eq!(ids.len(), 20);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(ids[0], ProbeId::compose(3, 0));
+        assert_eq!(ids[10], ProbeId::compose(9, 0));
     }
 
     #[test]

@@ -72,11 +72,11 @@ proptest! {
     }
 
     #[test]
-    fn welford_sharded_merge_equals_sequential(
+    fn welford_chunked_merge_equals_sequential(
         values in proptest::collection::vec(-1e6f64..1e6, 1..300),
-        shards in 1usize..8,
+        chunks in 1usize..8,
     ) {
-        // Parallel reduction: split the stream into `shards` chunks, fold
+        // Parallel reduction: split the stream into `chunks` chunks, fold
         // each into its own accumulator, merge left-to-right — the result
         // must agree with a single sequential accumulator to float
         // tolerance (and exactly on count/min/max).
@@ -84,7 +84,7 @@ proptest! {
         for &v in &values {
             whole.push(v);
         }
-        let per = values.len().div_ceil(shards);
+        let per = values.len().div_ceil(chunks);
         let mut merged = Welford::new();
         for chunk in values.chunks(per.max(1)) {
             let mut w = Welford::new();
@@ -103,18 +103,17 @@ proptest! {
     }
 
     #[test]
-    fn histogram_sharded_merge_equals_sequential(
+    fn histogram_chunked_merge_equals_sequential(
         values in proptest::collection::vec(0u64..10_000_000, 1..300),
-        shards in 1usize..8,
+        chunks in 1usize..8,
     ) {
-        // Same reduction shape as the parallel sweep uses: chunked shards
-        // merged into one histogram must be indistinguishable from
-        // recording the whole stream sequentially.
+        // Chunked partial histograms merged into one must be
+        // indistinguishable from recording the whole stream sequentially.
         let mut whole = LatencyHistogram::new();
         for &v in &values {
             whole.record(v);
         }
-        let per = values.len().div_ceil(shards);
+        let per = values.len().div_ceil(chunks);
         let mut merged = LatencyHistogram::new();
         for chunk in values.chunks(per.max(1)) {
             let mut h = LatencyHistogram::new();

@@ -307,73 +307,6 @@ fn gridlog_faulted_run_replays_identically() {
     );
 }
 
-// --- Sharded execution: the fault machinery is shard-invariant -------
-
-/// Every conformance cell, replayed on 4 conservative shards
-/// (`simshard`): the merged `FaultStats`, the conservation identity,
-/// and the rendered degradation table must equal the serial run's
-/// exactly. Prefixed per middleware so each CI fault-matrix cell also
-/// covers its own sharded variant.
-fn assert_shard_invariant_faults(spec: &ExperimentSpec) {
-    let serial = run_experiment(spec);
-    let sharded = run_experiment(&spec.clone().sharded(4));
-    assert_eq!(serial.summary.sent, sharded.summary.sent, "{}", spec.name);
-    assert_eq!(
-        serial.summary.received, sharded.summary.received,
-        "{}: loss pattern drifted under sharding",
-        spec.name
-    );
-    assert_eq!(
-        serial.fault_stats, sharded.fault_stats,
-        "{}: degradation accounting drifted under sharding",
-        spec.name
-    );
-    let table = |r: &ExperimentResult| {
-        let f = r.fault_stats.expect("faulted run has stats");
-        gridmon::telemetry::degradation_table(format!("conf — {}", r.name), &f.rows()).render()
-    };
-    assert_eq!(
-        table(&serial),
-        table(&sharded),
-        "{}: degradation tables differ",
-        spec.name
-    );
-    assert_conserved(&serial);
-    assert_conserved(&sharded);
-}
-
-#[test]
-fn narada_tcp_crash_is_shard_invariant() {
-    let spec =
-        narada_spec("conf/shard-tcp", Transport::Tcp, AckMode::Auto, SEEDS[0]).with_faults(crash());
-    assert_shard_invariant_faults(&spec);
-}
-
-#[test]
-fn narada_udp_client_crash_is_shard_invariant() {
-    let spec = narada_spec(
-        "conf/shard-udp-client",
-        Transport::Udp,
-        AckMode::Client,
-        SEEDS[1],
-    )
-    .with_faults(crash());
-    assert_shard_invariant_faults(&spec);
-}
-
-#[test]
-fn gridlog_crash_is_shard_invariant() {
-    let spec = gridlog_spec("conf/shard-gridlog", AckMode::Client, SEEDS[2]).with_faults(crash());
-    assert_shard_invariant_faults(&spec);
-}
-
-#[test]
-fn rgma_registry_restart_is_shard_invariant() {
-    let spec = rgma_spec("conf/shard-rgma", SEEDS[0])
-        .with_faults(FaultSchedule::scenario("registry-restart").expect("known scenario"));
-    assert_shard_invariant_faults(&spec);
-}
-
 // --- R-GMA: registry restart and servlet stall ----------------------
 
 #[test]
