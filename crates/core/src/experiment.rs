@@ -220,12 +220,10 @@ pub struct TraceArtifacts {
     pub jsonl: String,
     /// Chrome `trace_event` JSON (open in Perfetto / `chrome://tracing`).
     pub chrome: String,
-    /// Per-message PRT/PT/SRT reconstruction.
-    pub summary: TraceSummary,
-    /// Cross-check failures against the independent `RttCollector`
-    /// instants. Always empty in a returned result: `run_experiment`
+    /// Per-message PRT/PT/SRT reconstruction. Every probe in it agrees
+    /// with the independent `RttCollector` instants: `run_experiment`
     /// panics on any disagreement.
-    pub disagreements: Vec<String>,
+    pub summary: TraceSummary,
 }
 
 /// Profiler and metrics-plane artifacts produced by a profiled run
@@ -875,7 +873,6 @@ fn finish(
             jsonl: simtrace::export::jsonl(tr, &resources),
             chrome: simtrace::export::chrome_trace(tr),
             summary: trace_summary,
-            disagreements,
         }
     });
 

@@ -19,15 +19,13 @@ fn untraced_run_produces_no_trace() {
     assert!(r.trace.is_none(), "tracing must be off by default");
 }
 
+// `run_experiment` panics if the trace and the RttCollector disagree
+// about any probe, so a returned traced result has cross-checked clean.
+
 #[test]
 fn traced_narada_run_cross_checks_clean() {
     let r = run_experiment(&traced_spec("tr-narada", SystemUnderTest::NaradaSingle, 6));
     let trace = r.trace.expect("traced spec yields artifacts");
-    assert!(
-        trace.disagreements.is_empty(),
-        "trace vs RttCollector disagreements: {:?}",
-        trace.disagreements
-    );
     assert!(trace.summary.total_events > 0);
     assert!(!trace.summary.probes.is_empty());
     assert!(!trace.jsonl.is_empty());
@@ -38,11 +36,6 @@ fn traced_narada_run_cross_checks_clean() {
 fn traced_rgma_run_cross_checks_clean() {
     let r = run_experiment(&traced_spec("tr-rgma", SystemUnderTest::RgmaSingle, 6));
     let trace = r.trace.expect("traced spec yields artifacts");
-    assert!(
-        trace.disagreements.is_empty(),
-        "trace vs RttCollector disagreements: {:?}",
-        trace.disagreements
-    );
     assert!(!trace.summary.probes.is_empty());
 }
 

@@ -17,6 +17,7 @@ use simcore::{Context, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 use telemetry::{ProbeId, RttCollector};
 use wire::Message;
 
@@ -359,7 +360,7 @@ impl GridlogClientSet {
         let rec = ProducerRecord {
             probe,
             key,
-            message,
+            message: Arc::new(message),
         };
         if reconnecting {
             // Broker presumed dead and a reconnect is in flight: buffer

@@ -7,6 +7,7 @@
 //! [`simfault::FaultSignal::BrokerCrash`].
 
 use crate::protocol::FetchedRecord;
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Message;
 
@@ -17,8 +18,8 @@ pub struct StoredRecord {
     pub probe: ProbeId,
     /// Partitioning key.
     pub key: u32,
-    /// The payload.
-    pub message: Message,
+    /// The payload (shared, never copied).
+    pub message: Arc<Message>,
 }
 
 /// One append-only segment file: a base offset plus a dense run of
@@ -124,7 +125,7 @@ impl PartitionLog {
                     probe: rec.probe,
                     offset: seg.base_offset + i as u64,
                     key: rec.key,
-                    message: rec.message.clone(),
+                    message: Arc::clone(&rec.message),
                 });
                 at = seg.base_offset + i as u64 + 1;
             }
@@ -178,10 +179,10 @@ mod tests {
         StoredRecord {
             probe: ProbeId(n),
             key: n as u32,
-            message: Message::text(
+            message: Arc::new(Message::text(
                 Headers::new(MessageId(n), "power.monitor", SimTime::ZERO),
                 "x",
-            ),
+            )),
         }
     }
 

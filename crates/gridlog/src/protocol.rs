@@ -4,8 +4,13 @@
 //! narada protocol does. Sizes on the wire are computed from the carried
 //! messages (`wire::Message::wire_size`) plus fixed framing modeled on
 //! the Kafka v2 record-batch format.
+//!
+//! A produced record's message is immutable once the producer has
+//! stamped it, so it travels as an `Arc<Message>`: the retained retry
+//! copy, the durable log and every fetch share the one allocation.
 
 use crate::config::OffsetReset;
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Message;
 
@@ -25,8 +30,8 @@ pub struct ProducerRecord {
     pub probe: ProbeId,
     /// Partitioning key (hashed to pick the partition).
     pub key: u32,
-    /// The payload.
-    pub message: Message,
+    /// The payload (shared, never copied).
+    pub message: Arc<Message>,
 }
 
 /// One record as fetched: the payload plus its position in the log.
@@ -38,8 +43,8 @@ pub struct FetchedRecord {
     pub offset: u64,
     /// Partitioning key.
     pub key: u32,
-    /// The payload.
-    pub message: Message,
+    /// The payload (shared, never copied).
+    pub message: Arc<Message>,
 }
 
 /// Client → broker.
@@ -200,7 +205,10 @@ mod tests {
 
     #[test]
     fn byte_helpers_add_framing() {
-        let m = Message::text(Headers::new(MessageId(1), "t", SimTime::ZERO), "body");
+        let m = Arc::new(Message::text(
+            Headers::new(MessageId(1), "t", SimTime::ZERO),
+            "body",
+        ));
         let rec = ProducerRecord {
             probe: ProbeId(0),
             key: 7,

@@ -114,10 +114,9 @@ impl Campaign {
     /// Write the trace artifacts of every traced run under `dir`:
     /// `<name>.trace.jsonl` (events + unified resource log) and
     /// `<name>.trace.json` (Chrome `trace_event`, Perfetto-loadable).
-    /// Returns `(files written, cross-check disagreements)`.
-    pub fn write_traces(&self, dir: &std::path::Path) -> std::io::Result<(usize, usize)> {
+    /// Returns the number of files written.
+    pub fn write_traces(&self, dir: &std::path::Path) -> std::io::Result<usize> {
         let mut files = 0;
-        let mut disagreements = 0;
         let mut names: Vec<&String> = self.results.keys().collect();
         names.sort_unstable();
         for name in names {
@@ -131,12 +130,8 @@ impl Campaign {
             std::fs::write(dir.join(format!("{stem}.trace.jsonl")), &trace.jsonl)?;
             std::fs::write(dir.join(format!("{stem}.trace.json")), &trace.chrome)?;
             files += 2;
-            for d in &trace.disagreements {
-                eprintln!("trace cross-check [{name}]: {d}");
-            }
-            disagreements += trace.disagreements.len();
         }
-        Ok((files, disagreements))
+        Ok(files)
     }
 }
 

@@ -617,16 +617,7 @@ fn main() {
     }
     if let Some(dir) = &opts.trace {
         match campaign.write_traces(dir) {
-            Ok((files, disagreements)) => {
-                eprintln!("{files} trace files written under {}", dir.display());
-                if disagreements > 0 {
-                    eprintln!(
-                        "WARNING: {disagreements} trace/RttCollector cross-check \
-                         disagreements — the trace and the telemetry disagree \
-                         about when messages moved; this indicates a bug"
-                    );
-                }
-            }
+            Ok(files) => eprintln!("{files} trace files written under {}", dir.display()),
             Err(e) => eprintln!("warning: cannot write traces: {e}"),
         }
     }

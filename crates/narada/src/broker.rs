@@ -12,6 +12,7 @@ use simcore::{Actor, ActorId, Context, Payload, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::HashMap;
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Message;
 
@@ -71,7 +72,7 @@ struct ConnState {
 struct PendingDelivery {
     sub_id: u32,
     probe: ProbeId,
-    message: Message,
+    message: Arc<Message>,
     retransmitted: bool,
 }
 
@@ -81,7 +82,7 @@ struct PendingDelivery {
 struct StableEntry {
     sub_id: u32,
     probe: ProbeId,
-    message: Message,
+    message: Arc<Message>,
 }
 
 /// What the broker remembers about a durable subscription across a
@@ -375,7 +376,7 @@ impl Broker {
         conn: ConnId,
         probe: ProbeId,
         seq: u64,
-        message: Message,
+        message: Arc<Message>,
         retransmit: bool,
         queue: bool,
         wire_bytes: usize,
@@ -430,13 +431,13 @@ impl Broker {
         // (point-to-point) deliver to exactly one receiver and are not
         // forwarded through the broker network (queues live on the broker
         // they were created on).
-        let topic = message.headers.destination.clone();
+        let topic = message.headers.destination.as_str();
         let match_t0 = simscope::start(ctx);
         let (matches, match_cost) = if queue {
-            let (hit, cost) = self.engine.match_queue(&topic, &message);
+            let (hit, cost) = self.engine.match_queue(topic, &message);
             (hit.into_iter().collect(), cost)
         } else {
-            self.engine.match_message(&topic, &message)
+            self.engine.match_message(topic, &message)
         };
         simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
         let mut cost = self.cfg.costs.broker_publish_base + self.per_byte(wire_bytes) + match_cost;
@@ -457,12 +458,12 @@ impl Broker {
         let missed = if queue {
             0
         } else {
-            (self.engine.topic_len(&topic) as u32).saturating_sub(matched)
+            (self.engine.topic_len(topic) as u32).saturating_sub(matched)
         };
         self.record_selector_outcome(ctx, probe, matched, missed);
 
         if !queue {
-            self.capture_orphans(probe, &message, &topic);
+            self.capture_orphans(probe, &message, topic);
         }
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
 
@@ -474,7 +475,7 @@ impl Broker {
         self.next_fwd_seq += 1;
         let my_ix = self.my_ix;
         self.seen_forwards.insert((my_ix, seq));
-        self.forward_to_peers(ctx, probe, &message, &topic, done, my_ix, seq, my_ix);
+        self.forward_to_peers(ctx, probe, &message, topic, done, my_ix, seq, my_ix);
     }
 
     fn record_selector_outcome(
@@ -501,7 +502,7 @@ impl Broker {
         &mut self,
         ctx: &mut Context<'_>,
         probe: ProbeId,
-        message: &Message,
+        message: &Arc<Message>,
         matches: Vec<MatchedDelivery>,
         mut ready_at: SimTime,
     ) {
@@ -535,7 +536,7 @@ impl Broker {
                 sub_id: m.sub_id,
                 probe,
                 deliver_seq: m.deliver_seq,
-                message: message.clone(),
+                message: Arc::clone(message),
                 retransmit: false,
             };
             ctx.with_service::<NetworkFabric, _>(|net, ctx| {
@@ -556,7 +557,7 @@ impl Broker {
                         PendingDelivery {
                             sub_id: m.sub_id,
                             probe,
-                            message: message.clone(),
+                            message: Arc::clone(message),
                             retransmitted: false,
                         },
                     );
@@ -582,7 +583,7 @@ impl Broker {
         &mut self,
         ctx: &mut Context<'_>,
         probe: ProbeId,
-        message: &Message,
+        message: &Arc<Message>,
         topic: &str,
         ready_at: SimTime,
         origin: u16,
@@ -595,9 +596,9 @@ impl Broker {
         let ep = self.endpoint;
         let my_ix = self.my_ix;
         let bytes = deliver_bytes(message);
-        let peers: Vec<(u16, ConnId)> = self.peers.clone();
         let mut sent: u32 = 0;
-        for (peer_ix, conn) in peers {
+        for i in 0..self.peers.len() {
+            let (peer_ix, conn) = self.peers[i];
             // Never send back where it came from or to the origin.
             if peer_ix == from_ix || peer_ix == origin {
                 continue;
@@ -629,7 +630,7 @@ impl Broker {
                 .max(ready_at);
             let fwd = BrokerToBroker::Forward {
                 probe,
-                message: message.clone(),
+                message: Arc::clone(message),
                 origin,
                 seq,
                 from_ix: my_ix,
@@ -663,7 +664,7 @@ impl Broker {
         &mut self,
         ctx: &mut Context<'_>,
         probe: ProbeId,
-        message: Message,
+        message: Arc<Message>,
         wire_bytes: usize,
         origin: u16,
         seq: u64,
@@ -680,7 +681,7 @@ impl Broker {
             );
             return;
         }
-        let topic = message.headers.destination.clone();
+        let topic = message.headers.destination.as_str();
         let broker = u32::from(self.my_ix);
         let actor = self.endpoint.actor.index() as u64;
         simtrace::with_trace(ctx, |tr, at| {
@@ -692,34 +693,34 @@ impl Broker {
             );
         });
         let match_t0 = simscope::start(ctx);
-        let (matches, match_cost) = self.engine.match_message(&topic, &message);
+        let (matches, match_cost) = self.engine.match_message(topic, &message);
         simscope::record(ctx, simscope::Site::JmsMatch, match_t0);
         let cost = self.cfg.costs.broker_publish_base + self.per_byte(wire_bytes) + match_cost;
         let done = simprof::profile_span!(ctx, simprof::Component::NaradaRoute, {
             self.cpu_matched(ctx, cost, match_cost)
         });
         let matched = matches.len() as u32;
-        let missed = (self.engine.topic_len(&topic) as u32).saturating_sub(matched);
+        let missed = (self.engine.topic_len(topic) as u32).saturating_sub(matched);
         self.record_selector_outcome(ctx, probe, matched, missed);
-        self.capture_orphans(probe, &message, &topic);
+        self.capture_orphans(probe, &message, topic);
         self.dispatch_deliveries(ctx, probe, &message, matches, done);
         // v1.1.3 floods onward (the congestion the paper found).
         if self.cfg.dbn_broadcast {
-            self.forward_to_peers(ctx, probe, &message, &topic, done, origin, seq, from_ix);
+            self.forward_to_peers(ctx, probe, &message, topic, done, origin, seq, from_ix);
         }
     }
 
     /// While a durable subscriber is detached (the broker restarted and
     /// the client has not resubscribed yet), matching topic publishes go
     /// to its stable log instead of being lost.
-    fn capture_orphans(&mut self, probe: ProbeId, message: &Message, topic: &str) {
+    fn capture_orphans(&mut self, probe: ProbeId, message: &Arc<Message>, topic: &str) {
         for (&peer, subs) in &self.durable_subs {
             for d in subs {
                 if !d.attached && d.topic == topic && d.selector.matches(message) {
                     self.stable.entry(peer).or_default().push(StableEntry {
                         sub_id: d.sub_id,
                         probe,
-                        message: message.clone(),
+                        message: Arc::clone(message),
                     });
                 }
             }
@@ -831,7 +832,7 @@ impl Broker {
                 sub_id,
                 probe: e.probe,
                 deliver_seq: seq,
-                message: e.message.clone(),
+                message: Arc::clone(&e.message),
                 retransmit: true,
             };
             ctx.with_service::<NetworkFabric, _>(|net, ctx| {
@@ -907,7 +908,7 @@ impl Broker {
                 sub_id: p.sub_id,
                 probe,
                 deliver_seq: seq,
-                message: p.message.clone(),
+                message: Arc::clone(&p.message),
                 retransmit: true,
             };
             let bytes = deliver_bytes(&p.message);

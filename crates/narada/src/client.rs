@@ -15,6 +15,7 @@ use simcore::{Context, SimDuration, SimTime};
 use simnet::{ConnId, Delivery, Endpoint, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 use telemetry::{ProbeId, RttCollector};
 use wire::Message;
 
@@ -72,7 +73,7 @@ enum ConnPhase {
 
 struct PendingPub {
     probe: ProbeId,
-    message: Message,
+    message: Arc<Message>,
     retries: u32,
     timer: u64,
     queue: bool,
@@ -373,6 +374,8 @@ impl NaradaClientSet {
 
     /// Assign a publish seq and put the message on the wire. Shared by the
     /// normal publish path and the offline-buffer drain after reconnect.
+    /// The message is fully stamped by now, so it is frozen here: every
+    /// later hop shares this one allocation.
     fn send_publish(
         &mut self,
         ctx: &mut Context<'_>,
@@ -386,6 +389,7 @@ impl NaradaClientSet {
         let seq = state.next_pub_seq;
         state.next_pub_seq += 1;
         let transport = state.settings.transport;
+        let message = Arc::new(message);
         let bytes = publish_bytes(&message);
 
         // Serialization on the client CPU.
@@ -400,7 +404,7 @@ impl NaradaClientSet {
                 seq,
                 PendingPub {
                     probe,
-                    message: message.clone(),
+                    message: Arc::clone(&message),
                     retries: 0,
                     timer,
                     queue,
@@ -667,7 +671,7 @@ impl NaradaClientSet {
                 }
                 p.retries += 1;
                 let probe = p.probe;
-                let message = p.message.clone();
+                let message = Arc::clone(&p.message);
                 let queue = p.queue;
                 let attempt = p.retries;
                 let actor = ctx.self_id().index() as u64;
@@ -907,7 +911,7 @@ impl NaradaClientSet {
             p.retries = 0;
             p.timer = timer;
             let probe = p.probe;
-            let message = p.message.clone();
+            let message = Arc::clone(&p.message);
             let queue = p.queue;
             let bytes = publish_bytes(&message);
             let done = self.cpu(ctx, self.cfg.costs.client_serialize_base);

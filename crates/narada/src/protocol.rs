@@ -3,8 +3,13 @@
 //! These enums travel as [`simnet::Delivery`] payloads. Sizes on the wire
 //! are computed from the carried message (`wire::Message::wire_size`) plus
 //! small fixed framing for control messages.
+//!
+//! A published message is immutable once the publishing client has
+//! stamped it, so it travels as an `Arc<Message>`: every hop, fan-out
+//! copy and retained delivery shares the one allocation.
 
 use jms::AckMode;
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::{Message, MessageId};
 
@@ -45,8 +50,8 @@ pub enum ClientToBroker {
         probe: ProbeId,
         /// Per-connection sequence number (gap detection over UDP).
         seq: u64,
-        /// The message.
-        message: Message,
+        /// The message (shared, never copied).
+        message: Arc<Message>,
         /// True if this is a retransmission (duplicates are filtered).
         retransmit: bool,
         /// True for a queue send (point-to-point); false for pub/sub.
@@ -100,8 +105,8 @@ pub enum BrokerToClient {
         probe: ProbeId,
         /// Broker-assigned per-(connection,subscription) delivery sequence.
         deliver_seq: u64,
-        /// The message.
-        message: Message,
+        /// The message (shared, never copied).
+        message: Arc<Message>,
         /// True if this is a retransmission.
         retransmit: bool,
     },
@@ -118,8 +123,8 @@ pub enum BrokerToBroker {
     Forward {
         /// Telemetry probe.
         probe: ProbeId,
-        /// The message.
-        message: Message,
+        /// The message (shared, never copied).
+        message: Arc<Message>,
         /// Originating broker index.
         origin: u16,
         /// Per-origin sequence number (dedup key).

@@ -2,6 +2,7 @@
 //! match → deliver → acknowledge across every transport the paper tests.
 
 use jms::AckMode;
+use narada::protocol::{BrokerToClient, ClientToBroker};
 use narada::{
     Broker, BrokerNetwork, ClientEvent, ClientTimer, ConnSettings, NaradaClientSet, NaradaConfig,
 };
@@ -10,7 +11,8 @@ use simnet::{ConnId, Delivery, Endpoint, FabricConfig, NetworkFabric, Transport}
 use simos::{Bytes, NodeId, NodeSpec, OsModel, ProcessId, ProcessSpec, VmstatLog};
 use std::cell::RefCell;
 use std::rc::Rc;
-use telemetry::RttCollector;
+use std::sync::Arc;
+use telemetry::{ProbeId, RttCollector};
 use wire::{Headers, Message, MessageId, Value};
 
 /// Build a world with `n` Hydra nodes; returns (sim, node ids).
@@ -706,4 +708,130 @@ fn disconnect_frees_broker_threads_for_new_connections() {
         accepted, 8,
         "6 initial + 2 after churn are accepted (threads were freed)"
     );
+}
+
+/// Records every delivery's message as it arrives, then hands the frame
+/// to the client set as usual. One connection publishes on broker 0;
+/// subscriber connections sit on broker 0 (two of them) and on broker 2
+/// (reached only through a broker-to-broker forward).
+struct ShareTap {
+    node: NodeId,
+    brokers: Vec<Endpoint>,
+    cfg: NaradaConfig,
+    set: Option<NaradaClientSet>,
+    publisher: Option<ConnId>,
+    subscribed: usize,
+    published: Rc<RefCell<Option<Arc<Message>>>>,
+    delivered: Rc<RefCell<Vec<Arc<Message>>>>,
+}
+
+const TAP_SUBSCRIBERS: [usize; 3] = [0, 0, 2];
+
+impl Actor for ShareTap {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let mut set = NaradaClientSet::new(self.cfg.clone(), self.node);
+        for b in TAP_SUBSCRIBERS {
+            set.connect(ctx, self.brokers[b], ConnSettings::tcp_auto());
+        }
+        self.publisher = Some(set.connect(ctx, self.brokers[0], ConnSettings::tcp_auto()));
+        self.set = Some(set);
+    }
+
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        let set = self.set.as_mut().expect("started");
+        let d = match msg.downcast::<Delivery>() {
+            Ok(d) => d,
+            Err(m) => {
+                if m.is::<PublishNow>() {
+                    self.publish(ctx);
+                }
+                return;
+            }
+        };
+        if let Some(BrokerToClient::Deliver { message, .. }) = d.payload.downcast_ref() {
+            self.delivered.borrow_mut().push(Arc::clone(message));
+        }
+        for ev in set.handle_delivery(ctx, *d) {
+            match ev {
+                ClientEvent::Connected(conn) if Some(conn) != self.publisher => {
+                    set.subscribe(ctx, conn, 0, "power.monitor", "id<10000");
+                }
+                ClientEvent::Subscribed(_, _) => {
+                    self.subscribed += 1;
+                    // Publish once every subscription is live and the
+                    // broker mesh has its peer links.
+                    if self.subscribed == TAP_SUBSCRIBERS.len() {
+                        ctx.timer(SimDuration::from_millis(100), PublishNow);
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+}
+
+struct PublishNow;
+
+impl ShareTap {
+    /// Publish one reading straight onto the publisher connection,
+    /// keeping a handle to the exact allocation that was sent.
+    fn publish(&mut self, ctx: &mut Context<'_>) {
+        let message = Arc::new(
+            Message::map(
+                Headers::new(MessageId(1), "power.monitor", ctx.now()),
+                [("power", Value::Double(850.5))],
+            )
+            .with_property("id", 7),
+        );
+        *self.published.borrow_mut() = Some(Arc::clone(&message));
+        let conn = self.publisher.expect("connected");
+        let me = Endpoint::new(self.node, ctx.self_id());
+        let bytes = narada::protocol::publish_bytes(&message);
+        let publish = ClientToBroker::Publish {
+            probe: ProbeId(0),
+            seq: 0,
+            message,
+            retransmit: false,
+            queue: false,
+        };
+        ctx.with_service::<NetworkFabric, _>(|net, ctx| {
+            net.send(ctx, conn, me, bytes, Box::new(publish));
+        });
+    }
+}
+
+#[test]
+fn fan_out_and_forwards_share_the_published_message() {
+    let (mut sim, nodes) = build_world(4, quiet_fabric(), 31);
+    let procs: Vec<ProcessId> = (0..3).map(|i| jvm(&mut sim, nodes[i])).collect();
+    let cfg = NaradaConfig::v1_1_3();
+    let hosts: Vec<(NodeId, ProcessId)> = (0..3).map(|i| (nodes[i], procs[i])).collect();
+    let network = BrokerNetwork::deploy(&mut sim, &cfg, &hosts, SimDuration::from_millis(10));
+    let published = Rc::new(RefCell::new(None));
+    let delivered = Rc::new(RefCell::new(Vec::new()));
+    sim.add_actor(ShareTap {
+        node: nodes[3],
+        brokers: network.endpoints.clone(),
+        cfg,
+        set: None,
+        publisher: None,
+        subscribed: 0,
+        published: published.clone(),
+        delivered: delivered.clone(),
+    });
+    sim.run_until(SimTime::from_secs(10));
+
+    let published = published.borrow().clone().expect("published once");
+    let delivered = delivered.borrow();
+    assert_eq!(delivered.len(), TAP_SUBSCRIBERS.len(), "one per subscriber");
+    for m in delivered.iter() {
+        assert!(
+            Arc::ptr_eq(m, &published),
+            "a delivery carries a copy, not the published message"
+        );
+    }
+    // The broadcast flood really forwarded it: brokers 1 and 2 each
+    // received it from a peer.
+    assert!(network.stats[1].borrow().from_peers > 0);
+    assert!(network.stats[2].borrow().from_peers > 0);
 }

@@ -7,7 +7,7 @@
 //! values, which were wrapped in an SQL statement".
 
 use simcore::{SimRng, SimTime};
-use wire::{Headers, Message, MessageId, Value};
+use wire::{Headers, Key, Message, MessageId, Value};
 
 /// Operating state of one small renewable generator.
 #[derive(Debug, Clone)]
@@ -65,13 +65,14 @@ impl GeneratorState {
     /// paper's selector (`id<10000`) filters on. `repeat` multiplies the
     /// payload (the "Triple" test used `repeat = 3`).
     pub fn narada_message(&self, msg_id: u64, now: SimTime, repeat: usize) -> Message {
-        let mut entries: Vec<(String, Value)> = Vec::with_capacity(16 * repeat);
+        let mut entries: Vec<(Key, Value)> = Vec::with_capacity(16 * repeat);
         for r in 0..repeat {
-            let p = |name: &str| {
+            // Field names are static; only repeated copies build theirs.
+            let p = |name: &'static str| -> Key {
                 if r == 0 {
-                    name.to_owned()
+                    Key::Borrowed(name)
                 } else {
-                    format!("{name}_{r}")
+                    Key::Owned(format!("{name}_{r}"))
                 }
             };
             entries.extend([

@@ -6,7 +6,7 @@
 //! serialization CPU cost. Format: little-endian, length-prefixed strings,
 //! one tag byte per value.
 
-use crate::message::{Body, DeliveryMode, Headers, Message, MessageId};
+use crate::message::{Body, DeliveryMode, Headers, Key, Message, MessageId};
 use crate::tuple::Tuple;
 use crate::value::Value;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -166,7 +166,7 @@ pub fn decode_value(buf: &mut Bytes) -> Result<Value> {
     })
 }
 
-fn encode_value_map(buf: &mut BytesMut, map: &BTreeMap<String, Value>) {
+fn encode_value_map(buf: &mut BytesMut, map: &BTreeMap<Key, Value>) {
     buf.put_u32_le(map.len() as u32);
     for (k, v) in map {
         put_str(buf, k);
@@ -174,14 +174,14 @@ fn encode_value_map(buf: &mut BytesMut, map: &BTreeMap<String, Value>) {
     }
 }
 
-fn decode_value_map(buf: &mut Bytes) -> Result<BTreeMap<String, Value>> {
+fn decode_value_map(buf: &mut Bytes) -> Result<BTreeMap<Key, Value>> {
     if buf.remaining() < 4 {
         return Err(CodecError::Truncated);
     }
     let n = buf.get_u32_le();
     let mut map = BTreeMap::new();
     for _ in 0..n {
-        let k = get_str(buf)?;
+        let k = Key::Owned(get_str(buf)?);
         let v = decode_value(buf)?;
         map.insert(k, v);
     }
@@ -347,6 +347,25 @@ mod tests {
             vec![Value::Int(1), Value::fixed_char("ab", 20)],
         );
         assert_eq!(encode_tuple(&t).len(), t.wire_size());
+    }
+
+    #[test]
+    fn static_keys_roundtrip_to_owned_keys_that_compare_equal() {
+        let m = Message::map(
+            Headers::new(MessageId(5), "power.monitor", SimTime::from_secs(2)),
+            [
+                ("watts", Value::Double(42.5)),
+                ("site", Value::Str("a".into())),
+            ],
+        )
+        .with_property("id", 7i32);
+        assert!(m.properties.keys().all(|k| matches!(k, Key::Borrowed(_))));
+        let bytes = encode_message(&m);
+        assert_eq!(bytes.len(), m.wire_size());
+        let back = decode_message(bytes).unwrap();
+        assert!(back.properties.keys().all(|k| matches!(k, Key::Owned(_))));
+        assert_eq!(back, m);
+        assert_eq!(encode_message(&back), encode_message(&m));
     }
 
     #[test]

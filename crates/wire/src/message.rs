@@ -3,7 +3,15 @@
 
 use crate::value::Value;
 use simcore::SimTime;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+
+/// A property or map-body field name. Names fixed at compile time (the
+/// paper's 16 payload fields, the `id` property) are borrowed `&'static
+/// str`s and cost nothing to build or clone; names built at run time or
+/// decoded off the wire are owned. Both order, compare and encode by
+/// their text, so the choice never shows on the wire.
+pub type Key = Cow<'static, str>;
 
 /// Globally unique message id within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,7 +84,7 @@ impl Headers {
 pub enum Body {
     /// `MapMessage`: ordered name→value pairs (BTreeMap for deterministic
     /// iteration and wire layout).
-    Map(BTreeMap<String, Value>),
+    Map(BTreeMap<Key, Value>),
     /// `TextMessage`.
     Text(String),
     /// `BytesMessage` (length is what matters for the wire model; content
@@ -106,18 +114,21 @@ pub struct Message {
     /// Standard headers.
     pub headers: Headers,
     /// Application properties, visible to selectors.
-    pub properties: BTreeMap<String, Value>,
+    pub properties: BTreeMap<Key, Value>,
     /// Body.
     pub body: Body,
 }
 
 impl Message {
     /// New map message.
-    pub fn map(headers: Headers, entries: impl IntoIterator<Item = (String, Value)>) -> Self {
+    pub fn map<K: Into<Key>>(
+        headers: Headers,
+        entries: impl IntoIterator<Item = (K, Value)>,
+    ) -> Self {
         Message {
             headers,
             properties: BTreeMap::new(),
-            body: Body::Map(entries.into_iter().collect()),
+            body: Body::Map(entries.into_iter().map(|(k, v)| (k.into(), v)).collect()),
         }
     }
 
@@ -131,7 +142,7 @@ impl Message {
     }
 
     /// Set a selector-visible property (builder style).
-    pub fn with_property(mut self, name: impl Into<String>, v: impl Into<Value>) -> Self {
+    pub fn with_property(mut self, name: impl Into<Key>, v: impl Into<Value>) -> Self {
         self.properties.insert(name.into(), v.into());
         self
     }
@@ -194,7 +205,7 @@ mod tests {
     fn body_sizes() {
         assert_eq!(Body::Text("abc".into()).wire_size(), 7);
         assert_eq!(Body::Bytes(vec![0; 10]).wire_size(), 14);
-        let map: BTreeMap<String, Value> = [("k".to_string(), Value::Int(1))].into_iter().collect();
+        let map: BTreeMap<Key, Value> = [(Key::from("k"), Value::Int(1))].into_iter().collect();
         assert_eq!(Body::Map(map).wire_size(), 4 + 4 + 1 + 5);
     }
 

@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use simcore::SimTime;
+use std::collections::BTreeMap;
 use wire::{
-    decode_message, decode_tuple, encode_message, encode_tuple, Body, DeliveryMode, Headers,
+    decode_message, decode_tuple, encode_message, encode_tuple, Body, DeliveryMode, Headers, Key,
     Message, MessageId, Tuple, Value,
 };
 
@@ -33,9 +34,15 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Generated `String` names become owned [`Key`]s, as decoded ones are.
+fn owned_keys(map: BTreeMap<String, Value>) -> BTreeMap<Key, Value> {
+    map.into_iter().map(|(k, v)| (Key::Owned(k), v)).collect()
+}
+
 fn arb_body() -> impl Strategy<Value = Body> {
     prop_oneof![
-        proptest::collection::btree_map("[a-z_]{1,12}", arb_value(), 0..12).prop_map(Body::Map),
+        proptest::collection::btree_map("[a-z_]{1,12}", arb_value(), 0..12)
+            .prop_map(|map| Body::Map(owned_keys(map))),
         "[ -~]{0,256}".prop_map(Body::Text),
         proptest::collection::vec(any::<u8>(), 0..256).prop_map(Body::Bytes),
     ]
@@ -60,7 +67,7 @@ prop_compose! {
             DeliveryMode::NonPersistent
         };
         headers.correlation_id = corr;
-        Message { headers, properties: props, body }
+        Message { headers, properties: owned_keys(props), body }
     }
 }
 

@@ -353,9 +353,9 @@ proptest! {
         prop_assert_eq!(&traced.kernel, &observed.kernel);
         // The append-only log loses nothing fault-free.
         prop_assert_eq!(plain.summary.received, plain.summary.sent);
-        let t = observed.trace.expect("traced run carries artifacts");
-        prop_assert!(t.disagreements.is_empty(),
-            "trace/RttCollector cross-check failed: {:?}", t.disagreements);
+        // `run_experiment` panics if the trace and the RttCollector
+        // disagree, so carrying artifacts means the cross-check held.
+        prop_assert!(observed.trace.is_some(), "traced run carries artifacts");
         let p = observed.profile.expect("profiled run carries artifacts");
         prop_assert_eq!(p.unattributed.as_micros(), 0,
             "gridlog left CPU work unattributed");
