@@ -105,9 +105,12 @@ impl Predicate {
     }
 }
 
-/// A parsed SQL statement.
+/// A parsed SQL statement. An `INSERT` borrows its names from the SQL
+/// text (the servlet parses one per reading and keeps only the row);
+/// `CREATE TABLE` and `SELECT` own theirs, because the catalogue and the
+/// consumer keep them.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Statement {
+pub enum Statement<'a> {
     /// `CREATE TABLE name (col type, …)`.
     CreateTable {
         /// Table name.
@@ -118,9 +121,9 @@ pub enum Statement {
     /// `INSERT INTO name [(cols)] VALUES (…)`.
     Insert {
         /// Table name.
-        table: String,
+        table: &'a str,
         /// Explicit column list (empty = table order).
-        columns: Vec<String>,
+        columns: Vec<&'a str>,
         /// Literal values.
         values: Vec<Value>,
     },
@@ -135,13 +138,12 @@ pub enum Statement {
     },
 }
 
-impl Statement {
+impl Statement<'_> {
     /// Table the statement targets.
     pub fn table(&self) -> &str {
         match self {
-            Statement::CreateTable { table, .. }
-            | Statement::Insert { table, .. }
-            | Statement::Select { table, .. } => table,
+            Statement::CreateTable { table, .. } | Statement::Select { table, .. } => table,
+            Statement::Insert { table, .. } => table,
         }
     }
 }

@@ -1,20 +1,24 @@
 //! SQL lexer for the R-GMA subset.
+//!
+//! Tokens borrow from the SQL text: identifiers are slices of it, and a
+//! string literal is copied only when it contains a `''` escape.
 
+use std::borrow::Cow;
 use std::fmt;
 
-/// SQL token.
+/// SQL token, borrowing names and literals from the input text.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Token {
+pub enum Token<'a> {
     /// Identifier (table/column name); case preserved.
-    Ident(String),
+    Ident(&'a str),
     /// Keyword, normalized to uppercase.
     Keyword(Keyword),
     /// Integer literal.
     Int(i64),
     /// Float literal.
     Float(f64),
-    /// String literal.
-    Str(String),
+    /// String literal, unescaped (owned only if it contained `''`).
+    Str(Cow<'a, str>),
     /// `(`
     LParen,
     /// `)`
@@ -67,37 +71,42 @@ pub enum Keyword {
     Varchar,
 }
 
+/// Keyword spellings, matched case-insensitively without allocating.
+const KEYWORDS: [(&str, Keyword); 22] = [
+    ("CREATE", Keyword::Create),
+    ("TABLE", Keyword::Table),
+    ("INSERT", Keyword::Insert),
+    ("INTO", Keyword::Into),
+    ("VALUES", Keyword::Values),
+    ("SELECT", Keyword::Select),
+    ("FROM", Keyword::From),
+    ("WHERE", Keyword::Where),
+    ("AND", Keyword::And),
+    ("OR", Keyword::Or),
+    ("NOT", Keyword::Not),
+    ("NULL", Keyword::Null),
+    ("TRUE", Keyword::True),
+    ("FALSE", Keyword::False),
+    ("INTEGER", Keyword::Integer),
+    ("INT", Keyword::Int),
+    ("BIGINT", Keyword::Bigint),
+    ("REAL", Keyword::Real),
+    ("DOUBLE", Keyword::Double),
+    ("PRECISION", Keyword::Precision),
+    ("CHAR", Keyword::Char),
+    ("VARCHAR", Keyword::Varchar),
+];
+
 impl Keyword {
     fn parse(word: &str) -> Option<Keyword> {
-        Some(match word.to_ascii_uppercase().as_str() {
-            "CREATE" => Keyword::Create,
-            "TABLE" => Keyword::Table,
-            "INSERT" => Keyword::Insert,
-            "INTO" => Keyword::Into,
-            "VALUES" => Keyword::Values,
-            "SELECT" => Keyword::Select,
-            "FROM" => Keyword::From,
-            "WHERE" => Keyword::Where,
-            "AND" => Keyword::And,
-            "OR" => Keyword::Or,
-            "NOT" => Keyword::Not,
-            "NULL" => Keyword::Null,
-            "TRUE" => Keyword::True,
-            "FALSE" => Keyword::False,
-            "INTEGER" => Keyword::Integer,
-            "INT" => Keyword::Int,
-            "BIGINT" => Keyword::Bigint,
-            "REAL" => Keyword::Real,
-            "DOUBLE" => Keyword::Double,
-            "PRECISION" => Keyword::Precision,
-            "CHAR" => Keyword::Char,
-            "VARCHAR" => Keyword::Varchar,
-            _ => return None,
-        })
+        KEYWORDS
+            .iter()
+            .find(|(spelling, _)| spelling.eq_ignore_ascii_case(word))
+            .map(|&(_, k)| k)
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "{s}"),
@@ -138,9 +147,12 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize SQL text.
-pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = input.as_bytes();
-    let mut out = Vec::new();
+    // A comma-separated list spends about four bytes per token (a short
+    // name or number, then ", "); a third of the length leaves headroom
+    // so the vector does not have to grow.
+    let mut out = Vec::with_capacity(input.len() / 3 + 1);
     let mut i = 0;
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -203,31 +215,9 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 }
             }
             '\'' => {
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    if j >= bytes.len() {
-                        return Err(LexError {
-                            message: "unterminated string literal".into(),
-                            at: i,
-                        });
-                    }
-                    if bytes[j] == b'\'' {
-                        if bytes.get(j + 1) == Some(&b'\'') {
-                            s.push('\'');
-                            j += 2;
-                        } else {
-                            j += 1;
-                            break;
-                        }
-                    } else {
-                        let ch = input[j..].chars().next().expect("valid utf-8");
-                        s.push(ch);
-                        j += ch.len_utf8();
-                    }
-                }
-                out.push(Token::Str(s));
-                i = j;
+                let (literal, end) = string_literal(input, i)?;
+                out.push(Token::Str(literal));
+                i = end;
             }
             '-' | '0'..='9' | '.' => {
                 // '-' only starts a number here if followed by a digit
@@ -289,7 +279,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
                 let word = &input[start..i];
                 match Keyword::parse(word) {
                     Some(k) => out.push(Token::Keyword(k)),
-                    None => out.push(Token::Ident(word.to_owned())),
+                    None => out.push(Token::Ident(word)),
                 }
             }
             other => {
@@ -303,6 +293,48 @@ pub fn lex(input: &str) -> Result<Vec<Token>, LexError> {
     Ok(out)
 }
 
+/// The string literal whose opening quote is at byte `open`, unescaped,
+/// and the byte offset just past its closing quote. A quote byte never
+/// occurs inside a multi-byte UTF-8 sequence, so scanning bytes is safe.
+fn string_literal(input: &str, open: usize) -> Result<(Cow<'_, str>, usize), LexError> {
+    let bytes = input.as_bytes();
+    let body = open + 1;
+    // Set on the first `''` escape; `run` is where the text not yet
+    // copied into it starts.
+    let mut unescaped: Option<String> = None;
+    let mut run = body;
+    let mut j = body;
+    loop {
+        match bytes.get(j) {
+            None => {
+                return Err(LexError {
+                    message: "unterminated string literal".into(),
+                    at: open,
+                })
+            }
+            Some(b'\'') if bytes.get(j + 1) == Some(&b'\'') => {
+                // Keep one quote of the pair.
+                unescaped
+                    .get_or_insert_with(String::new)
+                    .push_str(&input[run..=j]);
+                j += 2;
+                run = j;
+            }
+            Some(b'\'') => {
+                let literal = match unescaped {
+                    None => Cow::Borrowed(&input[body..j]),
+                    Some(mut s) => {
+                        s.push_str(&input[run..j]);
+                        Cow::Owned(s)
+                    }
+                };
+                return Ok((literal, j + 1));
+            }
+            Some(_) => j += 1,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,7 +343,7 @@ mod tests {
     fn lex_insert() {
         let toks = lex("INSERT INTO generator (id, power) VALUES (1, 850.5)").unwrap();
         assert_eq!(toks[0], Token::Keyword(Keyword::Insert));
-        assert!(toks.contains(&Token::Ident("generator".into())));
+        assert!(toks.contains(&Token::Ident("generator")));
         assert!(toks.contains(&Token::Int(1)));
         assert!(toks.contains(&Token::Float(850.5)));
     }
@@ -343,6 +375,66 @@ mod tests {
     #[test]
     fn quoted_escapes() {
         assert_eq!(lex("'it''s'").unwrap(), vec![Token::Str("it's".into())]);
+    }
+
+    #[test]
+    fn names_and_plain_literals_borrow_from_the_input() {
+        let sql = "INSERT INTO generator (site) VALUES ('site-0001')";
+        let toks = lex(sql).unwrap();
+        let within = |s: &str| sql.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        let Token::Ident(table) = toks[2] else {
+            panic!("identifier expected, got {:?}", toks[2])
+        };
+        assert_eq!(table, "generator");
+        assert!(within(table), "identifier points into the input");
+        match &toks[toks.len() - 2] {
+            Token::Str(Cow::Borrowed(s)) => {
+                assert_eq!(*s, "site-0001");
+                assert!(within(s), "literal points into the input");
+            }
+            other => panic!("borrowed literal expected, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_escaped_literals_are_owned() {
+        for (sql, text) in [("'it''s'", "it's"), ("''''", "'"), ("'a''b''c'", "a'b'c")] {
+            match &lex(sql).unwrap()[..] {
+                [Token::Str(Cow::Owned(s))] => assert_eq!(s, text, "{sql}"),
+                other => panic!("{sql}: owned literal expected, got {other:?}"),
+            }
+        }
+        assert!(matches!(
+            &lex("''").unwrap()[..],
+            [Token::Str(Cow::Borrowed(""))]
+        ));
+        assert!(matches!(
+            &lex("'naïve ünïcode'").unwrap()[..],
+            [Token::Str(Cow::Borrowed("naïve ünïcode"))]
+        ));
+        assert!(lex("'it''").is_err(), "an escaped quote does not close");
+    }
+
+    #[test]
+    fn keywords_match_in_any_case_and_only_whole_words() {
+        assert_eq!(
+            lex("VaLuEs iNtO").unwrap(),
+            vec![
+                Token::Keyword(Keyword::Values),
+                Token::Keyword(Keyword::Into)
+            ]
+        );
+        assert_eq!(
+            lex("intox INTO_x _into").unwrap(),
+            vec![
+                Token::Ident("intox"),
+                Token::Ident("INTO_x"),
+                Token::Ident("_into")
+            ]
+        );
+        for (spelling, k) in KEYWORDS {
+            assert_eq!(Keyword::parse(&spelling.to_lowercase()), Some(k));
+        }
     }
 
     #[test]

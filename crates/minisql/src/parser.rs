@@ -12,13 +12,14 @@ pub enum ParseError {
     Lex(LexError),
     /// Unexpected token / end of input.
     Unexpected {
-        /// What was found (None = end).
-        found: Option<Token>,
+        /// Display text of the token found (None = end).
+        found: Option<String>,
         /// What was expected.
         expected: String,
     },
-    /// Trailing tokens after a complete statement.
-    TrailingInput(Token),
+    /// Trailing tokens after a complete statement (display text of the
+    /// first one).
+    TrailingInput(String),
 }
 
 impl fmt::Display for ParseError {
@@ -42,29 +43,30 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Parse one SQL statement (a trailing `;` is allowed).
-pub fn parse(input: &str) -> Result<Statement, ParseError> {
+/// Parse one SQL statement (a trailing `;` is allowed). An `INSERT`
+/// borrows its table and column names from `input`.
+pub fn parse(input: &str) -> Result<Statement<'_>, ParseError> {
     let tokens = lex(input)?;
     let mut p = Parser { tokens, pos: 0 };
     let stmt = p.statement()?;
     p.eat(&Token::Semi);
     if let Some(t) = p.peek() {
-        return Err(ParseError::TrailingInput(t.clone()));
+        return Err(ParseError::TrailingInput(t.to_string()));
     }
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn eat(&mut self, t: &Token) -> bool {
+    fn eat(&mut self, t: &Token<'_>) -> bool {
         if self.peek() == Some(t) {
             self.pos += 1;
             true
@@ -85,7 +87,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: Token, what: &str) -> Result<(), ParseError> {
+    fn expect(&mut self, t: Token<'_>, what: &str) -> Result<(), ParseError> {
         if self.eat(&t) {
             Ok(())
         } else {
@@ -95,15 +97,14 @@ impl Parser {
 
     fn unexpected(&self, expected: &str) -> ParseError {
         ParseError::Unexpected {
-            found: self.peek().cloned(),
+            found: self.peek().map(Token::to_string),
             expected: expected.to_owned(),
         }
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, ParseError> {
+    fn ident(&mut self, what: &str) -> Result<&'a str, ParseError> {
         match self.peek() {
-            Some(Token::Ident(s)) => {
-                let s = s.clone();
+            Some(&Token::Ident(s)) => {
                 self.pos += 1;
                 Ok(s)
             }
@@ -111,7 +112,7 @@ impl Parser {
         }
     }
 
-    fn statement(&mut self) -> Result<Statement, ParseError> {
+    fn statement(&mut self) -> Result<Statement<'a>, ParseError> {
         if self.eat_kw(Keyword::Create) {
             self.create_table()
         } else if self.eat_kw(Keyword::Insert) {
@@ -123,13 +124,13 @@ impl Parser {
         }
     }
 
-    fn create_table(&mut self) -> Result<Statement, ParseError> {
+    fn create_table(&mut self) -> Result<Statement<'a>, ParseError> {
         self.expect_kw(Keyword::Table)?;
-        let table = self.ident("table name")?;
+        let table = self.ident("table name")?.to_owned();
         self.expect(Token::LParen, "'(' before column list")?;
         let mut columns = Vec::new();
         loop {
-            let name = self.ident("column name")?;
+            let name = self.ident("column name")?.to_owned();
             let ty = self.sql_type()?;
             columns.push(ColumnDef { name, ty });
             if self.eat(&Token::Comma) {
@@ -172,11 +173,17 @@ impl Parser {
         Ok(w)
     }
 
-    fn insert(&mut self) -> Result<Statement, ParseError> {
+    fn insert(&mut self) -> Result<Statement<'a>, ParseError> {
         self.expect_kw(Keyword::Into)?;
         let table = self.ident("table name")?;
         let mut columns = Vec::new();
         if self.eat(&Token::LParen) {
+            // One name per comma-separated entry before the `)`.
+            let listed = self.tokens[self.pos..]
+                .iter()
+                .take_while(|t| **t != Token::RParen)
+                .count();
+            columns.reserve(listed / 2 + 1);
             loop {
                 columns.push(self.ident("column name")?);
                 if self.eat(&Token::Comma) {
@@ -188,7 +195,7 @@ impl Parser {
         }
         self.expect_kw(Keyword::Values)?;
         self.expect(Token::LParen, "'(' before values")?;
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(columns.len());
         loop {
             values.push(self.literal()?);
             if self.eat(&Token::Comma) {
@@ -212,7 +219,7 @@ impl Parser {
                 Value::Long(*v)
             }
             Some(Token::Float(v)) => Value::Double(*v),
-            Some(Token::Str(s)) => Value::Str(s.clone()),
+            Some(Token::Str(s)) => Value::Str(s.as_ref().to_owned()),
             Some(Token::Keyword(Keyword::True)) => Value::Bool(true),
             Some(Token::Keyword(Keyword::False)) => Value::Bool(false),
             _ => return Err(self.unexpected("literal value")),
@@ -221,18 +228,18 @@ impl Parser {
         Ok(v)
     }
 
-    fn select(&mut self) -> Result<Statement, ParseError> {
+    fn select(&mut self) -> Result<Statement<'a>, ParseError> {
         let mut columns = Vec::new();
         if !self.eat(&Token::Star) {
             loop {
-                columns.push(self.ident("column name or '*'")?);
+                columns.push(self.ident("column name or '*'")?.to_owned());
                 if !self.eat(&Token::Comma) {
                     break;
                 }
             }
         }
         self.expect_kw(Keyword::From)?;
-        let table = self.ident("table name")?;
+        let table = self.ident("table name")?.to_owned();
         let predicate = if self.eat_kw(Keyword::Where) {
             Some(self.or_pred()?)
         } else {
@@ -283,7 +290,7 @@ impl Parser {
         if self.eat_kw(Keyword::False) {
             return Ok(Predicate::Const(false));
         }
-        let column = self.ident("column name")?;
+        let column = self.ident("column name")?.to_owned();
         let op = match self.peek() {
             Some(Token::Eq) => CmpOp::Eq,
             Some(Token::Ne) => CmpOp::Ne,
@@ -416,5 +423,65 @@ mod tests {
     fn error_display() {
         let e = parse("SELECT").unwrap_err().to_string();
         assert!(e.contains("end of SQL"), "{e}");
+    }
+
+    #[test]
+    fn error_messages_show_the_offending_token() {
+        for (sql, message) in [
+            (
+                "SELECT",
+                "unexpected end of SQL (expected column name or '*')",
+            ),
+            (
+                "DROP TABLE t",
+                "unexpected `DROP` (expected CREATE, INSERT or SELECT)",
+            ),
+            (
+                "INSERT INTO t VALUES ()",
+                "unexpected `)` (expected literal value)",
+            ),
+            (
+                "INSERT INTO VALUES",
+                "unexpected `Values` (expected table name)",
+            ),
+            (
+                "CREATE TABLE t (a CHAR(0))",
+                "unexpected `0` (expected width 1..65535)",
+            ),
+            (
+                "INSERT INTO t (a b) VALUES (1)",
+                "unexpected `b` (expected ')' after columns)",
+            ),
+            ("SELECT * FROM t extra", "trailing input at `extra`"),
+            (
+                "SELECT * FROM t WHERE a = 'x' 'y'",
+                "trailing input at `'y'`",
+            ),
+            ("SELECT * FROM t WHERE a = 1.5 2", "trailing input at `2`"),
+            ("SELECT * FROM t; 'it''s'", "trailing input at `'it's'`"),
+            (
+                "SELECT * FROM t WHERE a >= -2.5 <>",
+                "trailing input at `<>`",
+            ),
+        ] {
+            assert_eq!(parse(sql).unwrap_err().to_string(), message, "{sql}");
+        }
+    }
+
+    #[test]
+    fn insert_borrows_its_names_from_the_sql() {
+        let sql = String::from("INSERT INTO generator (id, site) VALUES (7, 'site-0007')");
+        let Statement::Insert {
+            table,
+            columns,
+            values,
+        } = parse(&sql).unwrap()
+        else {
+            panic!("INSERT expected")
+        };
+        let within = |s: &str| sql.as_bytes().as_ptr_range().contains(&s.as_ptr());
+        assert!(within(table) && columns.iter().all(|c| within(c)));
+        assert_eq!((table, &columns[..]), ("generator", &["id", "site"][..]));
+        assert_eq!(values, vec![Value::Long(7), Value::Str("site-0007".into())]);
     }
 }

@@ -109,33 +109,44 @@ impl TableSchema {
     /// checks widths. Returns the normalized row values.
     pub fn normalize_insert(
         &self,
-        columns: &[String],
+        columns: &[&str],
         values: &[Value],
     ) -> Result<Vec<Value>, SchemaError> {
-        let order: Vec<usize> = if columns.is_empty() {
-            (0..self.arity()).collect()
+        // Every named column must exist before arity is judged.
+        for (i, c) in columns.iter().enumerate() {
+            self.slot(i, c)
+                .ok_or_else(|| SchemaError::NoSuchColumn((*c).to_owned()))?;
+        }
+        let named = if columns.is_empty() {
+            self.arity()
         } else {
-            let mut order = Vec::with_capacity(columns.len());
-            for c in columns {
-                order.push(
-                    self.column_index(c)
-                        .ok_or_else(|| SchemaError::NoSuchColumn(c.clone()))?,
-                );
-            }
-            order
+            columns.len()
         };
-        if order.len() != values.len() || order.len() != self.arity() {
+        if named != values.len() || named != self.arity() {
             return Err(SchemaError::ArityMismatch {
                 expected: self.arity(),
                 got: values.len(),
             });
         }
         let mut row = vec![Value::Int(0); self.arity()];
-        for (slot, v) in order.into_iter().zip(values) {
-            let col = &self.columns[slot];
-            row[slot] = coerce(v, col)?;
+        for (i, v) in values.iter().enumerate() {
+            let slot = match columns.get(i) {
+                Some(c) => self.slot(i, c).expect("checked above"),
+                None => i,
+            };
+            row[slot] = coerce(v, &self.columns[slot])?;
         }
         Ok(row)
+    }
+
+    /// Declaration index of `name`, named at position `i` of an insert's
+    /// column list. Inserts usually list columns in declaration order,
+    /// so position `i` is tried before the name index.
+    fn slot(&self, i: usize, name: &str) -> Option<usize> {
+        match self.columns.get(i) {
+            Some(c) if c.name == name => Some(i),
+            _ => self.column_index(name),
+        }
     }
 
     /// Project a row onto a column list (empty = all columns).
@@ -313,7 +324,7 @@ mod tests {
             .table("g")
             .unwrap()
             .normalize_insert(
-                &["site".into(), "id".into(), "power".into()],
+                &["site", "id", "power"],
                 &[Value::Str("x".into()), Value::Long(9), Value::Long(3)],
             )
             .unwrap();
@@ -353,7 +364,7 @@ mod tests {
             Err(SchemaError::TooLong { .. })
         ));
         assert!(matches!(
-            t.normalize_insert(&["bogus".into()], &[Value::Long(1)]),
+            t.normalize_insert(&["bogus"], &[Value::Long(1)]),
             Err(SchemaError::NoSuchColumn(_))
         ));
         // Integer overflow into INT column.

@@ -203,7 +203,8 @@ mod tests {
         let create = minisql::parse(TABLE_SQL).unwrap();
         let mut cat = minisql::Catalog::new();
         cat.create(&create).unwrap();
-        let stmt = minisql::parse(&g.rgma_insert_sql()).unwrap();
+        let sql = g.rgma_insert_sql();
+        let stmt = minisql::parse(&sql).unwrap();
         let minisql::Statement::Insert {
             table,
             columns,
@@ -213,7 +214,7 @@ mod tests {
             panic!("INSERT expected")
         };
         assert_eq!(table, TABLE);
-        let schema = cat.table(&table).unwrap();
+        let schema = cat.table(table).unwrap();
         let row = schema.normalize_insert(&columns, &values).unwrap();
         assert_eq!(row.len(), 16);
         // 4 int + 8 double + 4 char(20), as in the paper.

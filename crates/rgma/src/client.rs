@@ -15,8 +15,18 @@ use crate::protocol::{
 use simcore::{Context, SimDuration};
 use simnet::{http, ConnId, Delivery, Endpoint, HttpResponse, NetworkFabric, Transport};
 use simos::{NodeId, OsModel};
-use std::collections::HashMap;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::BuildHasherDefault;
+use std::sync::Arc;
 use telemetry::RttCollector;
+
+/// std's `HashMap` with SipHash under fixed keys. These maps gain and
+/// lose an entry per request. Under std's random keys the slots reused
+/// and the moment of each rehash differ from run to run, and so does the
+/// number of host allocations. Nothing iterates these maps, and their
+/// keys are this client's own request, timer and handle ids, so fixed
+/// keys change no output and expose no collision risk.
+type HashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 /// Timer payload routed back by the host actor.
 pub struct RgmaTimer(pub u64);
@@ -49,7 +59,7 @@ pub enum RgmaEvent {
     /// A poll returned `count` tuples.
     Polled(SubscriberHandle, usize),
     /// A one-time latest/history query completed with its tuples.
-    QueryCompleted(QueryHandle, Vec<(telemetry::ProbeId, wire::Tuple)>),
+    QueryCompleted(QueryHandle, Vec<(telemetry::ProbeId, Arc<wire::Tuple>)>),
     /// A one-time query failed.
     QueryFailed(QueryHandle, String),
 }
@@ -127,12 +137,12 @@ impl RgmaClientSet {
         RgmaClientSet {
             cfg,
             node,
-            producers: HashMap::new(),
-            subscribers: HashMap::new(),
+            producers: HashMap::default(),
+            subscribers: HashMap::default(),
             next_handle: 0,
-            pending: HashMap::new(),
-            insert_info: HashMap::new(),
-            timers: HashMap::new(),
+            pending: HashMap::default(),
+            insert_info: HashMap::default(),
+            timers: HashMap::default(),
             next_req: 0,
             next_timer: 0,
         }

@@ -15,6 +15,7 @@ use simnet::{
 };
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use telemetry::{ProbeId, RttCollector};
 use wire::Tuple;
 
@@ -31,7 +32,7 @@ struct CInstance {
     table: String,
     predicate: Option<minisql::Predicate>,
     columns: Vec<String>,
-    buffer: Vec<(ProbeId, Tuple)>,
+    buffer: Vec<(ProbeId, Arc<Tuple>)>,
     /// Producer-instance endpoints already in the plan (port = pid).
     planned: HashSet<Endpoint>,
 }
@@ -48,7 +49,7 @@ struct PendingQuery {
     query_type: QueryType,
     /// Producer servlets still to answer.
     outstanding: usize,
-    collected: Vec<(ProbeId, Tuple)>,
+    collected: Vec<(ProbeId, Arc<Tuple>)>,
 }
 
 /// The Consumer servlet actor.
@@ -409,7 +410,12 @@ impl ConsumerServlet {
     }
 
     /// One producer servlet answered a fetch.
-    fn on_fetch_result(&mut self, ctx: &mut Context<'_>, qid: u64, entries: Vec<(ProbeId, Tuple)>) {
+    fn on_fetch_result(
+        &mut self,
+        ctx: &mut Context<'_>,
+        qid: u64,
+        entries: Vec<(ProbeId, Arc<Tuple>)>,
+    ) {
         let n = entries.len() as u64;
         self.cpu(
             ctx,
@@ -433,7 +439,7 @@ impl ConsumerServlet {
             return;
         };
         let schema = self.schemas.get(&q.table);
-        let entries: Vec<(ProbeId, Tuple)> = q
+        let entries: Vec<(ProbeId, Arc<Tuple>)> = q
             .collected
             .into_iter()
             .filter(|(_, t)| match (&q.predicate, schema) {
@@ -443,7 +449,7 @@ impl ConsumerServlet {
             .map(|(p, mut t)| {
                 if let (false, Some(s)) = (q.columns.is_empty(), schema) {
                     if let Ok(projected) = s.project(&t.values, &q.columns) {
-                        t.values = projected;
+                        Arc::make_mut(&mut t).values = projected;
                     }
                 }
                 (p, t)
@@ -592,16 +598,16 @@ impl ConsumerServlet {
             );
             return;
         };
-        let entries: Vec<(ProbeId, Tuple)> = {
+        let entries: Vec<(ProbeId, Arc<Tuple>)> = {
             let schema = self.schemas.get(&inst.table);
-            let drained: Vec<(ProbeId, Tuple)> = inst.buffer.drain(..).collect();
+            let drained: Vec<(ProbeId, Arc<Tuple>)> = inst.buffer.drain(..).collect();
             match (&inst.columns[..], schema) {
                 ([], _) | (_, None) => drained,
                 (cols, Some(schema)) => drained
                     .into_iter()
                     .map(|(p, mut t)| {
                         if let Ok(projected) = schema.project(&t.values, cols) {
-                            t.values = projected;
+                            Arc::make_mut(&mut t).values = projected;
                         }
                         (p, t)
                     })

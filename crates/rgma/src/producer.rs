@@ -20,6 +20,7 @@ use simnet::{
 };
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use telemetry::ProbeId;
 
 /// Deployment-time control messages.
@@ -81,6 +82,11 @@ impl ProducerServlet {
             seen_conns: HashSet::new(),
             next_req: 0,
         }
+    }
+
+    /// Storage of a live producer instance.
+    pub fn storage(&self, producer: ProducerId) -> Option<&MemoryStorage> {
+        self.instances.get(&producer).map(|inst| &inst.storage)
     }
 
     fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
@@ -248,7 +254,7 @@ impl ProducerServlet {
             }
             let schema = self
                 .schemas
-                .get(&table)
+                .get(table)
                 .ok_or_else(|| format!("unknown table {table}"))?;
             let row = schema
                 .normalize_insert(&columns, &values)
@@ -258,7 +264,7 @@ impl ProducerServlet {
             // the servlet copies it from the request onto the stored
             // tuple, whence it rides through streaming/fetch/poll.
             tuple.published_at = Some(published_at);
-            inst.storage.insert(tuple, probe, done);
+            inst.storage.insert(Arc::new(tuple), probe, done);
             Ok(inst.storage.len() as u32)
         })();
         match result {
@@ -377,7 +383,7 @@ impl ProducerServlet {
             match query_type {
                 QueryType::Latest => {
                     if let Some(e) = inst.storage.latest(now) {
-                        entries.push((e.probe, e.tuple.clone()));
+                        entries.push((e.probe, Arc::clone(&e.tuple)));
                     }
                 }
                 QueryType::History => {
@@ -385,7 +391,7 @@ impl ProducerServlet {
                         inst.storage
                             .history()
                             .iter()
-                            .map(|e| (e.probe, e.tuple.clone())),
+                            .map(|e| (e.probe, Arc::clone(&e.tuple))),
                     );
                 }
             }
@@ -416,7 +422,7 @@ impl ProducerServlet {
             for (pid, cursor) in stream.cursors.iter_mut() {
                 if let Some(inst) = self.instances.get(pid) {
                     let (chunk, next) = inst.storage.read_from(*cursor);
-                    entries.extend(chunk.iter().map(|e| (e.probe, e.tuple.clone())));
+                    entries.extend(chunk.iter().map(|e| (e.probe, Arc::clone(&e.tuple))));
                     *cursor = next;
                 }
             }

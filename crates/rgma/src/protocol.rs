@@ -6,6 +6,7 @@
 
 use simcore::SimTime;
 use simnet::Endpoint;
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Tuple;
 
@@ -98,7 +99,7 @@ pub enum ProducerResponse {
         /// Token from the request.
         token: u64,
         /// Matching `(probe, tuple)` pairs.
-        entries: Vec<(ProbeId, Tuple)>,
+        entries: Vec<(ProbeId, Arc<Tuple>)>,
     },
     /// Request failed (OOM, unknown instance, bad SQL…).
     Error {
@@ -112,7 +113,7 @@ pub struct StreamChunk {
     /// Receiving consumer instance.
     pub consumer: ConsumerId,
     /// `(probe, tuple)` pairs in insertion order.
-    pub entries: Vec<(ProbeId, Tuple)>,
+    pub entries: Vec<(ProbeId, Arc<Tuple>)>,
 }
 
 /// Requests to the Consumer servlet.
@@ -151,12 +152,12 @@ pub enum ConsumerResponse {
     /// Poll result: the drained tuples.
     PollResult {
         /// `(probe, tuple)` pairs.
-        entries: Vec<(ProbeId, Tuple)>,
+        entries: Vec<(ProbeId, Arc<Tuple>)>,
     },
     /// One-time query result: all matching tuples from the plan.
     QueryResult {
         /// `(probe, tuple)` pairs.
-        entries: Vec<(ProbeId, Tuple)>,
+        entries: Vec<(ProbeId, Arc<Tuple>)>,
     },
     /// Request failed.
     Error {
@@ -223,7 +224,7 @@ pub fn chunk_bytes(chunk: &StreamChunk) -> usize {
 }
 
 /// Approximate entity bytes for a poll result.
-pub fn poll_result_bytes(entries: &[(ProbeId, Tuple)]) -> usize {
+pub fn poll_result_bytes(entries: &[(ProbeId, Arc<Tuple>)]) -> usize {
     24 + entries
         .iter()
         .map(|(_, t)| t.wire_size() + 8)
@@ -237,7 +238,7 @@ mod tests {
 
     #[test]
     fn byte_estimates_scale_with_tuples() {
-        let t = Tuple::new("g", vec![Value::Int(1), Value::Double(2.0)]);
+        let t = Arc::new(Tuple::new("g", vec![Value::Int(1), Value::Double(2.0)]));
         let chunk = StreamChunk {
             consumer: ConsumerId(1),
             entries: vec![(ProbeId(0), t.clone()), (ProbeId(1), t.clone())],

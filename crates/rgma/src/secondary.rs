@@ -20,6 +20,7 @@ use simnet::{
 };
 use simos::{NodeId, OsModel, ProcessId};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Tuple;
 
@@ -46,7 +47,7 @@ pub struct SecondaryProducer {
     /// Table republished (consumers attach to this).
     output_table: String,
     /// Pending batch (accumulates for `secondary_flush`).
-    batch: Vec<(ProbeId, Tuple)>,
+    batch: Vec<(ProbeId, Arc<Tuple>)>,
     /// Republished storage (for streams + retention).
     storage: MemoryStorage,
     /// Upstream plan: producer-instance endpoints already streamed from.
@@ -90,6 +91,11 @@ impl SecondaryProducer {
             next_req: 0,
             my_pid_port: 0,
         }
+    }
+
+    /// Storage of the republished instance.
+    pub fn storage(&self) -> &MemoryStorage {
+        &self.storage
     }
 
     fn cpu(&self, ctx: &mut Context<'_>, comp: simprof::Component, cost: SimDuration) -> SimTime {
@@ -210,7 +216,10 @@ impl SecondaryProducer {
                         ds.conn,
                         StreamChunk {
                             consumer: ds.consumer,
-                            entries: chunk.iter().map(|e| (e.probe, e.tuple.clone())).collect(),
+                            entries: chunk
+                                .iter()
+                                .map(|e| (e.probe, Arc::clone(&e.tuple)))
+                                .collect(),
                         },
                     ));
                 }

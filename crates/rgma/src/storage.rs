@@ -7,14 +7,16 @@
 //! minute.").
 
 use simcore::{SimDuration, SimTime};
+use std::sync::Arc;
 use telemetry::ProbeId;
 use wire::Tuple;
 
-/// A stored tuple plus its telemetry probe.
+/// A stored tuple plus its telemetry probe. The tuple is shared: streams,
+/// fetches and re-publication hand out the same allocation.
 #[derive(Debug, Clone)]
 pub struct StoredTuple {
     /// The tuple (with `inserted_at` stamped).
-    pub tuple: Tuple,
+    pub tuple: Arc<Tuple>,
     /// Telemetry probe of the insert.
     pub probe: ProbeId,
 }
@@ -41,10 +43,12 @@ impl MemoryStorage {
         }
     }
 
-    /// Insert a tuple at `now`; stamps `inserted_at`. Returns its cursor
-    /// position (monotonic across evictions).
-    pub fn insert(&mut self, mut tuple: Tuple, probe: ProbeId, now: SimTime) -> u64 {
-        tuple.inserted_at = now;
+    /// Insert a tuple at `now`; stamps `inserted_at`, copying the tuple
+    /// first if another holder shares it (a tuple re-published from an
+    /// upstream producer keeps its upstream stamp there). Returns its
+    /// cursor position (monotonic across evictions).
+    pub fn insert(&mut self, mut tuple: Arc<Tuple>, probe: ProbeId, now: SimTime) -> u64 {
+        Arc::make_mut(&mut tuple).inserted_at = now;
         self.entries.push(StoredTuple { tuple, probe });
         (self.evicted + self.entries.len() - 1) as u64
     }
@@ -132,8 +136,8 @@ mod tests {
     use super::*;
     use wire::Value;
 
-    fn tup(v: i32) -> Tuple {
-        Tuple::new("g", vec![Value::Int(v)])
+    fn tup(v: i32) -> Arc<Tuple> {
+        Arc::new(Tuple::new("g", vec![Value::Int(v)]))
     }
 
     fn storage() -> MemoryStorage {

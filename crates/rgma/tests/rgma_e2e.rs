@@ -2,16 +2,21 @@
 //! consumer buffer → subscriber poll, including warm-up loss and the
 //! Secondary Producer's 30 s delay.
 
+use rgma::protocol::ConsumerResponse;
 use rgma::{
-    ConsumerControl, ConsumerServlet, ProducerControl, ProducerHandle, ProducerServlet,
-    RegistryActor, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer, SecondaryProducer,
+    ConsumerControl, ConsumerServlet, MemoryStorage, ProducerControl, ProducerHandle, ProducerId,
+    ProducerServlet, RegistryActor, RgmaClientSet, RgmaConfig, RgmaEvent, RgmaTimer,
+    SecondaryProducer,
 };
 use simcore::{Actor, Context, Payload, SimDuration, SimTime, Simulation};
-use simnet::{Delivery, Endpoint, FabricConfig, NetworkFabric};
+use simnet::{Delivery, Endpoint, FabricConfig, HttpResponse, NetworkFabric};
 use simos::{NodeId, NodeSpec, OsModel, ProcessId, ProcessSpec, VmstatLog};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
-use telemetry::RttCollector;
+use std::sync::Arc;
+use telemetry::{ProbeId, RttCollector};
+use wire::Tuple;
 
 const TABLE_SQL: &str =
     "CREATE TABLE generator (id INTEGER, power DOUBLE PRECISION, site CHAR(20))";
@@ -614,4 +619,321 @@ fn one_time_latest_and_history_queries() {
     // producer, queried at t≈40 with 60 s retention → all 4 each.
     assert_eq!(history[0], 12, "full history within retention");
     assert!(history[0] > latest[0]);
+}
+
+// ---------------------------------------------------------------------
+// Shared tuples: the servlets hand out one stored allocation, and the
+// two places that change a tuple copy it first.
+
+/// The paper's 16-column reading: 4 INTEGER, 8 DOUBLE, 4 CHAR(20).
+const WIDE_TABLE_SQL: &str = "CREATE TABLE generator (\
+     id INTEGER, status INTEGER, seq INTEGER, uptime INTEGER, \
+     power DOUBLE PRECISION, energy DOUBLE, rating DOUBLE, voltage DOUBLE, \
+     frequency DOUBLE, current DOUBLE, temp DOUBLE, wind DOUBLE, \
+     site CHAR(20), operator CHAR(20), model CHAR(20), fw CHAR(20))";
+
+fn wide_insert(id: usize, seq: u32) -> String {
+    format!(
+        "INSERT INTO generator (id, status, seq, uptime, power, energy, rating, \
+         voltage, frequency, current, temp, wind, site, operator, model, fw) VALUES \
+         ({id}, 1, {seq}, {up}, {p}, 1.5, 2000.0, 230.0, 50.0, 3.5, 35.5, 7.25, \
+         'site-{id:04}', 'gridcc', 'WT-2000/E', 'glite-3.0')",
+        up = seq * 10,
+        p = 800.0 + f64::from(seq),
+    )
+}
+
+/// Every tuple a tapped producer ever stored, by probe, with the
+/// `inserted_at` it carried when first seen.
+type Stored = Rc<RefCell<BTreeMap<ProbeId, (Arc<Tuple>, SimTime)>>>;
+
+/// Runs a producer actor unchanged and, after each of its events,
+/// records the tuples in its storage.
+struct StorageTap<A> {
+    inner: A,
+    storages: fn(&A) -> Vec<&MemoryStorage>,
+    stored: Stored,
+}
+
+impl<A: Actor> Actor for StorageTap<A> {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        self.inner.on_start(ctx);
+    }
+
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        self.inner.handle(msg, ctx);
+        let mut stored = self.stored.borrow_mut();
+        for storage in (self.storages)(&self.inner) {
+            for e in storage.history() {
+                stored
+                    .entry(e.probe)
+                    .or_insert_with(|| (Arc::clone(&e.tuple), e.tuple.inserted_at));
+            }
+        }
+    }
+}
+
+fn primary_storages(p: &ProducerServlet) -> Vec<&MemoryStorage> {
+    (0..8).filter_map(|i| p.storage(ProducerId(i))).collect()
+}
+
+/// Registry, tapped producer servlet and consumer servlet on one node,
+/// serving the wide table.
+fn deploy_tapped(sim: &mut Simulation, node: NodeId, cfg: &RgmaConfig) -> (SingleServer, Stored) {
+    let proc = rgma_jvm(sim, node);
+    let reg = sim.add_actor(RegistryActor::new(cfg.clone(), node, proc));
+    let reg_ep = Endpoint::new(node, reg);
+    let stored = Stored::default();
+    let prod = sim.add_actor(StorageTap {
+        inner: ProducerServlet::new(cfg.clone(), node, proc, reg_ep),
+        storages: primary_storages,
+        stored: stored.clone(),
+    });
+    let cons = sim.add_actor(ConsumerServlet::new(cfg.clone(), node, proc, reg_ep));
+    sim.schedule(
+        SimDuration::ZERO,
+        prod,
+        Box::new(ProducerControl::DeclareTable {
+            sql: WIDE_TABLE_SQL.into(),
+        }),
+    );
+    sim.schedule(
+        SimDuration::ZERO,
+        cons,
+        Box::new(ConsumerControl::DeclareTable {
+            sql: WIDE_TABLE_SQL.into(),
+        }),
+    );
+    let server = SingleServer {
+        registry: reg_ep,
+        producer: Endpoint::new(node, prod),
+        consumer: Endpoint::new(node, cons),
+    };
+    (server, stored)
+}
+
+type Received = Rc<RefCell<Vec<(ProbeId, Arc<Tuple>)>>>;
+
+/// Three producers insert three wide readings each (from t≈12 s, every
+/// 8 s); one subscriber runs `query`. At 40 s it also issues a latest
+/// and a history query when `one_time_queries` is set. Records every
+/// polled and every queried `(probe, tuple)`.
+struct ShareDriver {
+    node: NodeId,
+    server: SingleServer,
+    query: &'static str,
+    one_time_queries: bool,
+    cfg: RgmaConfig,
+    set: Option<RgmaClientSet>,
+    handles: Vec<ProducerHandle>,
+    polled: Received,
+    queried: Received,
+}
+
+struct WideInsertTick(usize, u32);
+
+impl Actor for ShareDriver {
+    fn on_start(&mut self, ctx: &mut Context<'_>) {
+        let mut set = RgmaClientSet::new(self.cfg.clone(), self.node);
+        set.create_subscriber(ctx, self.server.consumer, self.query);
+        for _ in 0..3 {
+            let h = set.create_producer(ctx, self.server.producer, "generator");
+            self.handles.push(h);
+        }
+        self.set = Some(set);
+        if self.one_time_queries {
+            ctx.timer(SimDuration::from_secs(40), FireQueries);
+        }
+    }
+
+    fn handle(&mut self, msg: Payload, ctx: &mut Context<'_>) {
+        let set = self.set.as_mut().expect("started");
+        let msg = match msg.downcast::<Delivery>() {
+            Ok(d) => {
+                // Look at a poll result before the client set consumes it.
+                let poll = d
+                    .payload
+                    .downcast_ref::<HttpResponse>()
+                    .and_then(|r| r.body.downcast_ref::<ConsumerResponse>());
+                if let Some(ConsumerResponse::PollResult { entries }) = poll {
+                    self.polled.borrow_mut().extend(entries.iter().cloned());
+                }
+                for ev in set.handle_delivery(ctx, *d) {
+                    match ev {
+                        RgmaEvent::ProducerReady(h) => {
+                            let ix = self.handles.iter().position(|&x| x == h).unwrap();
+                            ctx.timer(SimDuration::from_secs(12), WideInsertTick(ix, 0));
+                        }
+                        RgmaEvent::QueryCompleted(_, entries) => {
+                            self.queried.borrow_mut().extend(entries);
+                        }
+                        RgmaEvent::QueryFailed(_, reason) => panic!("query failed: {reason}"),
+                        _ => {}
+                    }
+                }
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<RgmaTimer>() {
+            Ok(t) => {
+                set.handle_timer(ctx, *t);
+                return;
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.downcast::<WideInsertTick>() {
+            Ok(t) => {
+                let WideInsertTick(ix, seq) = *t;
+                if seq < 3 {
+                    set.insert(ctx, self.handles[ix], wide_insert(ix, seq));
+                    ctx.timer(SimDuration::from_secs(8), WideInsertTick(ix, seq + 1));
+                }
+                return;
+            }
+            Err(m) => m,
+        };
+        if msg.downcast::<FireQueries>().is_ok() {
+            for query_type in [rgma::QueryType::Latest, rgma::QueryType::History] {
+                set.one_time_query(
+                    ctx,
+                    self.server.consumer,
+                    "SELECT * FROM generator",
+                    query_type,
+                );
+            }
+        }
+    }
+}
+
+fn share_driver(
+    node: NodeId,
+    server: SingleServer,
+    query: &'static str,
+    one_time_queries: bool,
+    cfg: &RgmaConfig,
+) -> (ShareDriver, Received, Received) {
+    let polled = Received::default();
+    let queried = Received::default();
+    let driver = ShareDriver {
+        node,
+        server,
+        query,
+        one_time_queries,
+        cfg: cfg.clone(),
+        set: None,
+        handles: Vec::new(),
+        polled: polled.clone(),
+        queried: queried.clone(),
+    };
+    (driver, polled, queried)
+}
+
+#[test]
+fn streamed_and_fetched_tuples_share_the_stored_allocation() {
+    let (mut sim, nodes) = build_world(2, 67);
+    let cfg = RgmaConfig::glite_3_0();
+    let (server, stored) = deploy_tapped(&mut sim, nodes[0], &cfg);
+    let (driver, polled, queried) =
+        share_driver(nodes[1], server, "SELECT * FROM generator", true, &cfg);
+    sim.add_actor(driver);
+    sim.run_until(SimTime::from_secs(80));
+
+    let stored = stored.borrow();
+    assert_eq!(stored.len(), 9, "3 producers × 3 readings stored");
+    let polled = polled.borrow();
+    assert_eq!(polled.len(), 9, "every reading streamed to the subscriber");
+    let queried = queried.borrow();
+    // Latest: one per producer; history: inserts at ≈12, 20, 28 s, all
+    // within retention at the 40 s query.
+    assert_eq!(queried.len(), 3 + 9, "latest + history answers");
+    for (probe, tuple) in polled.iter().chain(queried.iter()) {
+        let (kept, _) = &stored[probe];
+        assert!(
+            Arc::ptr_eq(tuple, kept),
+            "{probe:?} was copied on its way to the subscriber"
+        );
+        assert_eq!(tuple.values.len(), 16);
+    }
+}
+
+#[test]
+fn projection_copies_and_leaves_the_stored_tuple_whole() {
+    let (mut sim, nodes) = build_world(2, 71);
+    let cfg = RgmaConfig::glite_3_0();
+    let (server, stored) = deploy_tapped(&mut sim, nodes[0], &cfg);
+    let (driver, polled, _) = share_driver(
+        nodes[1],
+        server,
+        "SELECT id, power FROM generator",
+        false,
+        &cfg,
+    );
+    sim.add_actor(driver);
+    sim.run_until(SimTime::from_secs(80));
+
+    let stored = stored.borrow();
+    let polled = polled.borrow();
+    assert_eq!(polled.len(), 9);
+    for (probe, tuple) in polled.iter() {
+        let (kept, _) = &stored[probe];
+        assert!(!Arc::ptr_eq(tuple, kept));
+        assert_eq!(
+            tuple.values,
+            vec![kept.values[0].clone(), kept.values[4].clone()]
+        );
+        assert_eq!(kept.values.len(), 16, "the stored tuple keeps every column");
+    }
+}
+
+#[test]
+fn secondary_restamp_leaves_the_primary_copy_unchanged() {
+    let (mut sim, nodes) = build_world(3, 73);
+    let cfg = RgmaConfig::glite_3_0();
+    let (server, primary) = deploy_tapped(&mut sim, nodes[0], &cfg);
+    let sp_proc = rgma_jvm(&mut sim, nodes[1]);
+    let secondary = Stored::default();
+    sim.add_actor(StorageTap {
+        inner: SecondaryProducer::new(
+            cfg.clone(),
+            nodes[1],
+            sp_proc,
+            server.registry,
+            "generator",
+            "generator_archive",
+        ),
+        storages: |s: &SecondaryProducer| vec![s.storage()],
+        stored: secondary.clone(),
+    });
+    let (driver, polled, _) = share_driver(
+        nodes[2],
+        server,
+        "SELECT * FROM generator_archive",
+        false,
+        &cfg,
+    );
+    sim.add_actor(driver);
+    sim.run_until(SimTime::from_secs(150));
+
+    let primary = primary.borrow();
+    let secondary = secondary.borrow();
+    assert_eq!(primary.len(), 9);
+    assert_eq!(secondary.len(), 9, "every reading republished");
+    for (probe, (copy, restamped)) in secondary.iter() {
+        let (original, stamped) = &primary[probe];
+        assert!(!Arc::ptr_eq(copy, original), "re-stamping copies");
+        assert_eq!(
+            original.inserted_at, *stamped,
+            "the primary's stored tuple keeps its own stamp"
+        );
+        assert!(*restamped > *stamped, "the secondary stamps its flush");
+        assert_eq!(copy.values, original.values);
+        assert_eq!(copy.published_at, original.published_at);
+    }
+    // Downstream of the secondary, its copy is shared in turn.
+    let polled = polled.borrow();
+    assert_eq!(polled.len(), 9);
+    for (probe, tuple) in polled.iter() {
+        assert!(Arc::ptr_eq(tuple, &secondary[probe].0));
+    }
 }
